@@ -26,11 +26,6 @@ FieldElem = Fraction
 RatLike = Union[int, Fraction]
 
 
-def rat(value: RatLike, denominator: int = 1) -> Fraction:
-    """Coerce to an exact rational."""
-    return Fraction(value, denominator)
-
-
 def rational_str(value: Fraction) -> str:
     """Render a rational as 'p' or 'p/q' (q > 1 only)."""
     value = Fraction(value)
@@ -357,16 +352,6 @@ class Jet:
 
     def __str__(self) -> str:
         return "(" + ", ".join(rational_str(c) for c in self.coeffs) + f") order {self.order}"
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Product of two jets of equal order."""
-    return a * b
-
-
-def jet_inv(a: Jet) -> Jet:
-    """Inverse of a unit jet."""
-    return a.inverse()
 
 
 def unit_log(u: Jet) -> Jet:

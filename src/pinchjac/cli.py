@@ -131,6 +131,8 @@ def _cmd_aj(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.samples < 1:
+        raise _CliUsage(f"--samples must be at least 1, got {args.samples}")
     config = _load_config(args.file)
     presentation = jacobian_structure(config)
     sample = []

@@ -9,7 +9,9 @@ that branch. The local ring at a singularity is of contraction type
 the total branch multiplicity minus one.
 
 The dual graph has one vertex per component and per singularity and one edge
-per branch; its first Betti number is the torus rank of the Jacobian.
+per branch; its first Betti number is the torus rank of the Jacobian. Every
+graph question (ranks, components, partitions, fundamental cycles, bridges)
+is answered from one spanning forest grown by ``spanning_forest``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .algebra import P1Point
-from .errors import InvalidConfig, PositiveGenusUnsupported, UnknownComponent
+from .errors import (
+    InvalidConfig,
+    PositiveGenusUnsupported,
+    UnknownComponent,
+    UnknownSingularity,
+)
 
 # Violation kinds reported by validate().
 DUPLICATE_COMPONENT_ID = "DuplicateComponentId"
@@ -101,15 +108,10 @@ class CurveConfig:
                 return c
         raise UnknownComponent(f"no component named {component_id!r}")
 
-    def has_component(self, component_id: str) -> bool:
-        return any(c.id == component_id for c in self.components)
-
     def singularity(self, singularity_id: str):
         for s in self.singularities:
             if s.id == singularity_id:
                 return s
-        from .errors import UnknownSingularity
-
         raise UnknownSingularity(f"no singularity named {singularity_id!r}")
 
     def basepoint(self, component_id: str) -> P1Point | None:
@@ -252,90 +254,128 @@ class DualGraph:
     connected_components: int
 
 
-def _edge_list(config: CurveConfig) -> list[tuple[str, int, str]]:
-    return [
-        (s.id, i, b.component)
+def branch_edges(config: CurveConfig) -> dict[Edge, tuple[Vertex, Vertex]]:
+    """Each branch edge with its (component, singularity) ends, in configuration order."""
+    return {
+        (s.id, i): (("C", b.component), ("S", s.id))
         for s in config.singularities
         for i, b in enumerate(s.branches)
-    ]
+    }
 
 
-def _vertex_list(config: CurveConfig) -> list[Vertex]:
-    return [("C", c.id) for c in config.components] + [
-        ("S", s.id) for s in config.singularities
-    ]
+def spanning_forest(
+    config: CurveConfig, *, without: str | None = None
+) -> tuple[tuple[Edge, ...], dict[Vertex, Vertex]]:
+    """The spanning forest of the dual graph and the tree root of every vertex.
 
+    The forest is grown by union-find over the branch edges sorted by
+    (singularity id, branch index), so it comes out in that order. The root map
+    lists components, then singularities, in configuration order. With
+    ``without``, that singularity vertex and its branch edges are left out.
+    """
+    parent: dict[Vertex, Vertex] = {("C", c.id): ("C", c.id) for c in config.components}
+    parent.update((("S", s.id), ("S", s.id)) for s in config.singularities if s.id != without)
 
-def _connected_classes(
-    vertices: list[Vertex], adjacency: dict[Vertex, list[Vertex]]
-) -> list[list[Vertex]]:
-    seen: set[Vertex] = set()
-    classes: list[list[Vertex]] = []
-    for start in vertices:
-        if start in seen:
+    def find(v: Vertex) -> Vertex:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    forest = []
+    for edge, (u, v) in sorted(branch_edges(config).items()):
+        if edge[0] == without:
             continue
-        stack = [start]
-        seen.add(start)
-        cls = []
-        while stack:
-            v = stack.pop()
-            cls.append(v)
-            for w in adjacency.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        classes.append(cls)
-    return classes
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            forest.append(edge)
+    return tuple(forest), {v: find(v) for v in parent}
 
 
-def _adjacency(
-    vertices: list[Vertex],
-    edges: list[tuple[str, int, str]],
-    *,
-    exclude_edges: frozenset[Edge] = frozenset(),
-    exclude_singularity: str | None = None,
-) -> tuple[list[Vertex], dict[Vertex, list[Vertex]]]:
-    kept_vertices = [
-        v for v in vertices if not (v[0] == "S" and v[1] == exclude_singularity)
-    ]
-    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in kept_vertices}
-    for sing, idx, comp in edges:
-        if sing == exclude_singularity or (sing, idx) in exclude_edges:
+def forest_parents(
+    ends: Mapping[Edge, tuple[Vertex, Vertex]], forest: Iterable[Edge]
+) -> dict[Vertex, tuple[Vertex | None, Edge | None]]:
+    """Parent vertex and parent edge of every vertex on a forest edge, parents first.
+
+    Each tree is rooted at its first vertex in forest order; roots map to
+    (None, None).
+    """
+    adjacency: dict[Vertex, list[tuple[Edge, Vertex]]] = {}
+    for edge in forest:
+        u, v = ends[edge]
+        adjacency.setdefault(u, []).append((edge, v))
+        adjacency.setdefault(v, []).append((edge, u))
+    parents: dict[Vertex, tuple[Vertex | None, Edge | None]] = {}
+    for root in adjacency:
+        if root in parents:
             continue
-        u, v = ("S", sing), ("C", comp)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return kept_vertices, adjacency
+        parents[root] = (None, None)
+        queue = [root]
+        for v in queue:  # breadth first; the queue grows while it is read
+            for edge, w in adjacency[v]:
+                if w not in parents:
+                    parents[w] = (v, edge)
+                    queue.append(w)
+    return parents
+
+
+def fundamental_cycles(
+    ends: Mapping[Edge, tuple[Vertex, Vertex]],
+    forest: Iterable[Edge],
+    edges: Iterable[Edge],
+) -> dict[Edge, dict[Edge, int]]:
+    """Exponent vector of the cycle each non-forest edge closes through the forest.
+
+    Edges are oriented component -> singularity; a cycle runs through its
+    non-forest edge positively and back through the forest. Both ends climb the
+    parent pointers to their common ancestor.
+    """
+    parents = forest_parents(ends, forest)
+    depth: dict[Vertex, int] = {}
+    for v, (p, _) in parents.items():
+        depth[v] = 0 if p is None else depth[p] + 1
+    cycles = {}
+    for edge in edges:
+        # the forest path runs from the singularity end b down to the
+        # component end a; a step counts +1 when it goes component -> singularity
+        a, b = ends[edge]
+        cycle = {edge: 1}
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, f = parents[a]  # walked parent -> child
+                cycle[f] = 1 if a[0] == "C" else -1
+            else:
+                b, f = parents[b]  # walked child -> parent
+                cycle[f] = 1 if b[0] == "S" else -1
+        cycles[edge] = cycle
+    return cycles
+
+
+def bridges(config: CurveConfig) -> frozenset[Edge]:
+    """Branch edges whose removal disconnects the dual graph.
+
+    These are the forest edges on no fundamental cycle: the fundamental cycles
+    span the cycle space over GF(2), so a forest edge lies on some cycle only if
+    it lies on a fundamental one. Parallel edges (two branches of one
+    singularity on one component) are never bridges, since the one left out of
+    the forest closes a cycle through the other.
+    """
+    ends = branch_edges(config)
+    forest, _ = spanning_forest(config)
+    tree = set(forest)
+    on_cycle = set()
+    for cycle in fundamental_cycles(ends, forest, [e for e in ends if e not in tree]).values():
+        on_cycle.update(cycle)
+    return frozenset(tree - on_cycle)
 
 
 def dual_graph(config: CurveConfig) -> DualGraph:
     """The dual graph with its first Betti number and component count."""
     require_valid(config)
-    vertices = _vertex_list(config)
-    edges = _edge_list(config)
-    kept, adjacency = _adjacency(vertices, edges)
-    classes = _connected_classes(kept, adjacency)
-    cc = len(classes)
-    betti1 = len(edges) - len(vertices) + cc
-    return DualGraph(tuple(vertices), tuple(edges), betti1, cc)
-
-
-def connected_component_count(
-    config: CurveConfig,
-    *,
-    exclude_edges: Iterable[Edge] = (),
-    exclude_singularity: str | None = None,
-) -> int:
-    """Connected components of the dual graph with edges or one vertex removed."""
-    vertices = _vertex_list(config)
-    edges = _edge_list(config)
-    kept, adjacency = _adjacency(
-        vertices,
-        edges,
-        exclude_edges=frozenset(exclude_edges),
-        exclude_singularity=exclude_singularity,
-    )
-    return len(_connected_classes(kept, adjacency))
+    ends = branch_edges(config)
+    forest, root = spanning_forest(config)
+    edges = tuple((s, i, c[1]) for (s, i), (c, _) in ends.items())
+    return DualGraph(tuple(root), edges, len(ends) - len(forest), len(root) - len(forest))
 
 
 def component_partition_without(config: CurveConfig, singularity_id: str) -> tuple[tuple[str, ...], ...]:
@@ -346,17 +386,11 @@ def component_partition_without(config: CurveConfig, singularity_id: str) -> tup
     members follow the component order of the configuration.
     """
     config.singularity(singularity_id)  # raises UnknownSingularity
-    vertices = _vertex_list(config)
-    edges = _edge_list(config)
-    kept, adjacency = _adjacency(vertices, edges, exclude_singularity=singularity_id)
-    order = {c.id: i for i, c in enumerate(config.components)}
-    classes = []
-    for cls in _connected_classes(kept, adjacency):
-        members = sorted((v[1] for v in cls if v[0] == "C"), key=order.__getitem__)
-        if members:
-            classes.append(tuple(members))
-    classes.sort(key=lambda members: order[members[0]])
-    return tuple(classes)
+    _, root = spanning_forest(config, without=singularity_id)
+    classes: dict[Vertex, list[str]] = {}
+    for c in config.components:
+        classes.setdefault(root[("C", c.id)], []).append(c.id)
+    return tuple(tuple(members) for members in classes.values())
 
 
 def is_smooth_point(config: CurveConfig, component_id: str, point: P1Point) -> bool:

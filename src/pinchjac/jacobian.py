@@ -25,7 +25,17 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import Jet, rational_str, unit_log
-from .curve_model import CurveConfig, Edge, Singularity, Vertex, require_valid
+from .curve_model import (
+    CurveConfig,
+    Edge,
+    Singularity,
+    Vertex,
+    branch_edges,
+    forest_parents,
+    fundamental_cycles,
+    require_valid,
+    spanning_forest,
+)
 from .errors import NonUnitEntry, OrderMismatch, PresentationMismatch
 
 TORUS_ORIENTATION = "branch value over first-listed branch value, forest-normalized"
@@ -85,14 +95,6 @@ class JacobianPresentation:
         }
 
 
-def _branch_endpoints(config: CurveConfig) -> dict[Edge, tuple[Vertex, Vertex]]:
-    out = {}
-    for s in config.singularities:
-        for i, b in enumerate(s.branches):
-            out[(s.id, i)] = (("C", b.component), ("S", s.id))
-    return out
-
-
 def jacobian_structure(config: CurveConfig) -> JacobianPresentation:
     """Ranks and coordinate bases of the Jacobian of a valid configuration.
 
@@ -101,38 +103,9 @@ def jacobian_structure(config: CurveConfig) -> JacobianPresentation:
     in configuration order.
     """
     require_valid(config)
-    endpoints = _branch_endpoints(config)
-
-    parent: dict[Vertex, Vertex] = {}
-
-    def find(v: Vertex) -> Vertex:
-        root = v
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(v, v) != v:
-            parent[v], v = root, parent[v]
-        return root
-
-    for vertex in [("C", c.id) for c in config.components] + [
-        ("S", s.id) for s in config.singularities
-    ]:
-        parent[vertex] = vertex
-
-    forest: list[Edge] = []
-    for edge in sorted(endpoints):
-        u, v = endpoints[edge]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            forest.append(edge)
-
-    forest_set = set(forest)
-    torus_basis = tuple(
-        (s.id, i)
-        for s in config.singularities
-        for i in range(len(s.branches))
-        if (s.id, i) not in forest_set
-    )
+    forest, _ = spanning_forest(config)
+    in_forest = set(forest)
+    torus_basis = tuple(edge for edge in branch_edges(config) if edge not in in_forest)
     unipotent_basis = tuple(
         (s.id, i, k)
         for s in config.singularities
@@ -145,7 +118,7 @@ def jacobian_structure(config: CurveConfig) -> JacobianPresentation:
         torus_rank=len(torus_basis),
         unipotent_rank=len(unipotent_basis),
         abelian_rank=abelian,
-        spanning_forest=tuple(sorted(forest)),
+        spanning_forest=forest,
         torus_basis=torus_basis,
         unipotent_basis=unipotent_basis,
     )
@@ -309,34 +282,18 @@ def class_reduce(
         for sing, idx, k in presentation.unipotent_basis
     )
 
-    endpoints = _branch_endpoints(config)
-    values = {edge: vector.jet(*edge).constant_term for edge in endpoints}
+    ends = branch_edges(config)
+    values = {edge: vector.jet(*edge).constant_term for edge in ends}
 
-    adjacency: dict[Vertex, list[tuple[Edge, Vertex]]] = {}
-    for edge in presentation.spanning_forest:
-        u, v = endpoints[edge]
-        adjacency.setdefault(u, []).append((edge, v))
-        adjacency.setdefault(v, []).append((edge, u))
-
-    vertices = [("C", c.id) for c in config.components] + [
-        ("S", s.id) for s in config.singularities
-    ]
+    # Any root works: rescaling a tree's root multiplies the scalars of one
+    # side of the bipartite tree by a constant and the other side by its
+    # inverse, which leaves every product scalar[C] * scalar[S] unchanged.
     scalar: dict[Vertex, Fraction] = {}
-    for root in sorted(vertices):
-        if root in scalar:
-            continue
-        scalar[root] = Fraction(1)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for edge, w in adjacency.get(v, ()):
-                if w in scalar:
-                    continue
-                scalar[w] = 1 / (values[edge] * scalar[v])
-                stack.append(w)
+    for v, (p, edge) in forest_parents(ends, presentation.spanning_forest).items():
+        scalar[v] = Fraction(1) if p is None else 1 / (values[edge] * scalar[p])
 
     torus = tuple(
-        values[edge] * scalar[endpoints[edge][0]] * scalar[endpoints[edge][1]]
+        values[edge] * scalar[ends[edge][0]] * scalar[ends[edge][1]]
         for edge in presentation.torus_basis
     )
     return JacElement(presentation.config_fingerprint, torus, unipotent)
@@ -371,43 +328,6 @@ class ClassTransport:
             torus.append(value)
         unipotent = tuple(element.unipotent_coords[i] for i in self.unipotent_map)
         return JacElement(self.dst_fingerprint, tuple(torus), unipotent)
-
-
-def _fundamental_cycle(
-    endpoints: dict[Edge, tuple[Vertex, Vertex]],
-    forest: tuple[Edge, ...],
-    edge: Edge,
-) -> dict[Edge, int]:
-    """Exponent vector of the cycle closed by a non-forest edge.
-
-    Edges are oriented component -> singularity; the cycle runs through the
-    non-forest edge positively and back through the forest.
-    """
-    adjacency: dict[Vertex, list[tuple[Edge, Vertex]]] = {}
-    for f in forest:
-        u, v = endpoints[f]
-        adjacency.setdefault(u, []).append((f, v))
-        adjacency.setdefault(v, []).append((f, u))
-
-    comp_vertex, sing_vertex = endpoints[edge]
-    # path through the forest from the singularity end back to the component end
-    previous: dict[Vertex, tuple[Edge, Vertex]] = {sing_vertex: (edge, comp_vertex)}
-    stack = [sing_vertex]
-    while stack and comp_vertex not in previous:
-        v = stack.pop()
-        for f, w in adjacency.get(v, ()):
-            if w not in previous:
-                previous[w] = (f, v)
-                stack.append(w)
-
-    cycle = {edge: 1}
-    v = comp_vertex
-    while v != sing_vertex:
-        f, w = previous[v]
-        # w -> v traversal; positive when it goes component -> singularity
-        cycle[f] = cycle.get(f, 0) + (1 if v[0] == "S" else -1)
-        v = w
-    return {e: k for e, k in cycle.items() if k != 0}
 
 
 def _branch_identity_map(
@@ -446,15 +366,15 @@ def change_of_basis(
     list positions (matched by component and point).
     """
     dst_to_src = _branch_identity_map(src_config, dst_config)
-    src_endpoints = _branch_endpoints(src_config)
     src_index = {edge: k for k, edge in enumerate(src_presentation.torus_basis)}
 
-    dst_endpoints = _branch_endpoints(dst_config)
+    cycles = fundamental_cycles(
+        branch_edges(dst_config),
+        dst_presentation.spanning_forest,
+        dst_presentation.torus_basis,
+    )
     torus_rows = []
-    for dst_edge in dst_presentation.torus_basis:
-        cycle = _fundamental_cycle(
-            dst_endpoints, dst_presentation.spanning_forest, dst_edge
-        )
+    for cycle in cycles.values():
         row = []
         for edge, exponent in sorted(cycle.items()):
             src_edge = dst_to_src[edge]

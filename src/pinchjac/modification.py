@@ -1,11 +1,14 @@
 """Modifications: pulling a component away from the rest at one branch.
 
-A branch is a modification site when it is reduced, is the only branch of its
-component at that singularity, every branch of the singularity is reduced,
-and detaching it strictly increases the number of connected components of the
-dual graph. Performing the modification removes the branch; a singularity
-left with a single reduced branch disappears entirely (the point becomes
-smooth). All three Jacobian ranks are invariant under modification.
+A modification site is a reduced bridge of the dual graph with no sibling
+branch on its component, at a singularity whose branches are all reduced. A
+bridge is a branch edge whose removal disconnects the dual graph, so
+detaching the branch adds exactly one connected component. A sibling branch
+(another branch of the same singularity on the same component) would be a
+parallel edge, so a bridge never has one. Performing the modification
+removes the branch; a singularity left with a single reduced branch
+disappears entirely (the point becomes smooth). All three Jacobian ranks are
+invariant under modification.
 
 Singularities mixing reduced and non-reduced branches are excluded from the
 site list and reported separately as indeterminate: whether such a branch
@@ -16,12 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve_model import (
-    CurveConfig,
-    Singularity,
-    connected_component_count,
-    require_valid,
-)
+from .curve_model import CurveConfig, Singularity, bridges, require_valid
 from .errors import NotASite
 
 
@@ -33,50 +31,31 @@ class ModificationSite:
     branch: int
 
 
-def _candidate(config: CurveConfig, singularity, branch_index: int, *, reduced_only: bool) -> bool:
-    branch = singularity.branches[branch_index]
-    if branch.multiplicity != 1:
-        return False
-    siblings_on_component = sum(
-        1 for b in singularity.branches if b.component == branch.component
+def _reduced_bridges(config: CurveConfig, *, thick: bool) -> tuple[ModificationSite, ...]:
+    """Reduced bridges at singularities that have (thick) or lack a thick branch."""
+    require_valid(config)
+    cut = bridges(config)
+    return tuple(
+        ModificationSite(s.id, i)
+        for s in config.singularities
+        if any(b.multiplicity > 1 for b in s.branches) == thick
+        for i, b in enumerate(s.branches)
+        if b.multiplicity == 1 and (s.id, i) in cut
     )
-    if siblings_on_component != 1:
-        return False
-    if reduced_only and any(b.multiplicity != 1 for b in singularity.branches):
-        return False
-    base = connected_component_count(config)
-    detached = connected_component_count(
-        config, exclude_edges=[(singularity.id, branch_index)]
-    )
-    return detached == base + 1
 
 
 def modifiable_sites(config: CurveConfig) -> tuple[ModificationSite, ...]:
     """All modification sites, in configuration order."""
-    require_valid(config)
-    sites = []
-    for s in config.singularities:
-        for i in range(len(s.branches)):
-            if _candidate(config, s, i, reduced_only=True):
-                sites.append(ModificationSite(s.id, i))
-    return tuple(sites)
+    return _reduced_bridges(config, thick=False)
 
 
 def indeterminate_sites(config: CurveConfig) -> tuple[ModificationSite, ...]:
-    """Reduced disconnecting branches of singularities with a thick branch.
+    """Reduced bridges at singularities with a thick branch.
 
     These satisfy every site condition except full reducedness of the
     singularity; eligibility is left undecided rather than guessed.
     """
-    require_valid(config)
-    out = []
-    for s in config.singularities:
-        if all(b.multiplicity == 1 for b in s.branches):
-            continue
-        for i in range(len(s.branches)):
-            if _candidate(config, s, i, reduced_only=False):
-                out.append(ModificationSite(s.id, i))
-    return tuple(out)
+    return _reduced_bridges(config, thick=True)
 
 
 def modify(config: CurveConfig, site: ModificationSite) -> CurveConfig:

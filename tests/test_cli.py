@@ -79,6 +79,14 @@ def test_probe_command(capsys, curves):
     assert json.loads(out)["collisions"] == []
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_probe_rejects_nonpositive_samples(capsys, curves, samples):
+    code, out, err = _run(capsys, ["probe", curves["lut"], "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_modifiable_command(capsys, curves):
     code, out, _ = _run(capsys, ["modifiable", curves["lut"]])
     assert code == 0

@@ -21,8 +21,8 @@ from pinchjac.curve_model import (
     CurveConfig,
     Singularity,
     TOTAL_MULTIPLICITY_TOO_LOW,
+    bridges,
     component_partition_without,
-    connected_component_count,
     dual_graph,
     is_smooth_point,
     validate,
@@ -124,12 +124,12 @@ def test_component_partition_without_singularity():
     assert component_partition_without(two_lines(), "n") == (("L1",), ("L2",))
 
 
-def test_connected_component_count_with_excluded_edge():
+def test_bridges_of_small_graphs():
     lut = two_nodes_pair()
-    assert connected_component_count(lut) == 1
-    assert connected_component_count(lut, exclude_edges=[("n1", 0)]) == 1
-    pair = two_lines()
-    assert connected_component_count(pair, exclude_edges=[("n", 0)]) == 2
+    assert dual_graph(lut).connected_components == 1
+    # the two nodes close a cycle, so cutting a branch of n1 leaves lut connected
+    assert ("n1", 0) not in bridges(lut)
+    assert bridges(two_lines()) == {("n", 0), ("n", 1)}
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,14 @@ from pinchjac.builders import (
     random_unit_jet_vector,
     two_nodes_pair,
 )
-from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity
+from pinchjac.curve_model import (
+    Branch,
+    Component,
+    CurveConfig,
+    Singularity,
+    branch_edges,
+    fundamental_cycles,
+)
 from pinchjac.errors import (
     InvalidConfig,
     NonUnitEntry,
@@ -23,8 +30,6 @@ from pinchjac.errors import (
     PresentationMismatch,
 )
 from pinchjac.jacobian import (
-    _fundamental_cycle,
-    _branch_endpoints,
     change_of_basis,
     class_reduce,
     constant_vector,
@@ -231,10 +236,12 @@ def _oracle_kernel(config: CurveConfig, vector) -> bool:
 
 def _oracle_coordinates(config, presentation, jets):
     vector = unit_jet_vector(config, jets)
-    endpoints = _branch_endpoints(config)
+    cycles = fundamental_cycles(
+        branch_edges(config), presentation.spanning_forest, presentation.torus_basis
+    )
     coords = []
     for edge in presentation.torus_basis:
-        cycle = _fundamental_cycle(endpoints, presentation.spanning_forest, edge)
+        cycle = cycles[edge]
         value = Fraction(1)
         for other, exponent in cycle.items():
             value *= vector.jet(*other).constant_term ** exponent

@@ -9,6 +9,7 @@ from pinchjac.builders import (
     elliptic_pair,
     nodal_cubic,
     cuspidal_cubic,
+    random_config,
     random_modifiable_config,
     two_lines,
     two_nodes_pair,
@@ -24,6 +25,7 @@ from pinchjac.curve_model import (
 from pinchjac.errors import NotASite
 from pinchjac.jacobian import jacobian_structure
 from pinchjac.modification import ModificationSite, indeterminate_sites, modifiable_sites, modify
+from pinchjac.verify import _oracle_graph_ranks
 
 
 def _pt(v) -> P1Point:
@@ -148,3 +150,80 @@ def test_iterated_modification_terminates():
             steps += 1
             assert steps <= budget
         assert modifiable_sites(config) == ()
+
+
+# --------------------------------------------------------------------------
+# Sites against a brute-force component count
+# --------------------------------------------------------------------------
+
+def _without_branch(config: CurveConfig, sing_id: str, branch: int) -> CurveConfig:
+    """The config with one branch edge cut but the singularity kept."""
+    sings = []
+    for s in config.singularities:
+        if s.id == sing_id:
+            kept = tuple(b for i, b in enumerate(s.branches) if i != branch)
+            sings.append(Singularity(s.id, kept))
+        else:
+            sings.append(s)
+    return CurveConfig(config.name, config.components, tuple(sings), config.basepoints)
+
+
+def _brute_force_configs():
+    rng = random.Random(83)
+    configs = [random_config(rng, max_components=6, max_singularities=8) for _ in range(60)]
+    configs += [random_modifiable_config(rng) for _ in range(30)]
+    # a multigraph: two branches of s on L1 are parallel edges, L2 hangs off a bridge
+    configs.append(
+        CurveConfig(
+            name="parallel",
+            components=(Component("L1"), Component("L2")),
+            singularities=(
+                Singularity(
+                    "s", (Branch("L1", _pt(0)), Branch("L1", _pt(1)), Branch("L2", _pt(0)))
+                ),
+            ),
+        )
+    )
+    # a thick singularity joining three lines; a node closes a cycle through L1 and L2
+    configs.append(
+        CurveConfig(
+            name="thick",
+            components=(Component("L1"), Component("L2"), Component("L3")),
+            singularities=(
+                Singularity(
+                    "t",
+                    (Branch("L1", _pt(0)), Branch("L2", _pt(0), 3), Branch("L3", _pt(0))),
+                ),
+                Singularity("n", (Branch("L1", _pt(1)), Branch("L2", _pt(1)))),
+            ),
+        )
+    )
+    return configs
+
+
+def test_sites_match_brute_force_component_counts():
+    listed_seen = unlisted_seen = 0
+    for config in _brute_force_configs():
+        sites = modifiable_sites(config)
+        undecided = indeterminate_sites(config)
+        listed = {(s.singularity, s.branch) for s in sites + undecided}
+        assert len(listed) == len(sites) + len(undecided)
+        _, cc = _oracle_graph_ranks(config)
+        for s in config.singularities:
+            all_reduced = all(b.multiplicity == 1 for b in s.branches)
+            for i, b in enumerate(s.branches):
+                siblings = sum(1 for other in s.branches if other.component == b.component)
+                if b.multiplicity != 1 or siblings != 1:
+                    assert (s.id, i) not in listed
+                    continue
+                _, cut_cc = _oracle_graph_ranks(_without_branch(config, s.id, i))
+                if (s.id, i) in listed:
+                    assert cut_cc == cc + 1
+                    site = ModificationSite(s.id, i)
+                    assert site in (sites if all_reduced else undecided)
+                    listed_seen += 1
+                else:
+                    assert cut_cc == cc
+                    unlisted_seen += 1
+    assert listed_seen > 20 and unlisted_seen > 20
+
