@@ -70,7 +70,7 @@ INFINITY = P1Point.infinity()
 # --------------------------------------------------------------------------
 
 def _strip(coeffs: Iterable[RatLike]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -272,14 +272,14 @@ class Jet:
     def __post_init__(self):
         if self.order < 1:
             raise OrderNonpositive(f"jet order must be >= 1, got {self.order}")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.order:
             raise ValueError(f"expected {self.order} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, order: int, coeffs: Iterable[RatLike] = ()) -> "Jet":
-        out = [Fraction(c) for c in coeffs]
+        out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order < 1:
             raise OrderNonpositive(f"jet order must be >= 1, got {order}")
         if len(out) > order:

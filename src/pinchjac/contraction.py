@@ -1,19 +1,23 @@
 """Contraction subalgebras of the polynomial ring.
 
 Contracting a finite subscheme of the affine line with vanishing ideal (g)
-produces the subalgebra of polynomials of the form constant + multiple of g.
-For g monic of degree e that subalgebra is generated by g, g*t, ..., g*t^(e-1);
-each generator set ships with a per-degree dimension certificate computed by
-exact row reduction (the slice of degree at most d has dimension d - e + 2 for
-d >= e and 1 below e). Membership is decided degree by degree, and positive
-answers carry an explicit polynomial expression in the generators that
-re-expands to the input.
+produces the subalgebra K + (g) of polynomials of the form constant +
+multiple of g. For g monic of degree e that subalgebra is generated by g,
+g*t, ..., g*t^(e-1). Each generator set ships with a per-degree dimension
+certificate computed by counting degrees: every product of the generators is
+monic, so products of distinct degrees are linearly independent, and all of
+them lie in K + (g), whose slice of degree at most d has dimension d - e + 2
+for d >= e and 1 below e. Where the number of distinct product degrees up to
+d meets that bound, the products span the slice. Membership is decided degree
+by degree, and positive answers carry an explicit polynomial expression in
+the generators that re-expands to the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Union
 
 from .algebra import P1Point, Poly
@@ -85,46 +89,25 @@ class GeneratorSet:
     hilbert_checked_to: int
 
 
-def _generator_products(generators: tuple[Poly, ...], max_degree: int) -> list[Poly]:
-    """All products of generators (including the empty product) of bounded degree."""
-    out: list[Poly] = []
-
-    def rec(index: int, current: Poly) -> None:
-        out.append(current)
-        for k in range(index, len(generators)):
-            extended = current * generators[k]
-            if extended.degree <= max_degree:
-                rec(k, extended)
-
-    rec(0, Poly.one())
-    return out
-
-
-def _echelon_pivot_degrees(polys: list[Poly]) -> set[int]:
-    """Degrees of the pivots of the row space of the coefficient matrix.
-
-    Rows are processed in order; elimination is exact over the rationals.
-    The returned set has one degree per dimension of the span.
-    """
-    pivots: dict[int, Poly] = {}
-    for poly in polys:
-        current = poly
-        while not current.is_zero:
-            d = current.degree
-            if d in pivots:
-                current = current - pivots[d] * (current.leading / pivots[d].leading)
-            else:
-                pivots[d] = current
-                break
-    return set(pivots)
+def _degree_sum_counts(degrees: list[int], depth: int) -> list[int]:
+    """counts[d]: how many of 0..d are sums of the given degrees (0 is the empty sum)."""
+    reachable = [True] + [False] * depth
+    for d in range(1, depth + 1):
+        reachable[d] = any(k <= d and reachable[d - k] for k in degrees)
+    return list(accumulate(map(int, reachable)))
 
 
 def contraction_generators(g: Poly, hilbert_checked_to: int | None = None) -> GeneratorSet:
     """Generators g*t^k (k < deg g) of the subalgebra K + (g), certified.
 
     The certificate checks, for every degree d up to ``hilbert_checked_to``
-    (default 3*deg(g) + 3), that products of generators span a space whose
-    degree-at-most-d slice has the dimension of the full subalgebra slice.
+    (default 3*deg(g) + 3), that products of generators span the slice of
+    K + (g) of degree at most d. The products are monic and a product's
+    degree is the sum of its factors' degrees, so the number of distinct
+    degree sums up to d (the empty product gives 0) bounds the span's
+    dimension from below; the slice's dimension max(1, d - e + 2) bounds it
+    from above. The degree sums are counted with integers, and any degree
+    where the count misses the bound raises ``CertificateFailure``.
     """
     if not g.is_monic:
         raise NotMonic(f"expected a monic polynomial, got {g}")
@@ -136,10 +119,8 @@ def contraction_generators(g: Poly, hilbert_checked_to: int | None = None) -> Ge
         raise ValueError("hilbert_checked_to must be at least deg(g)")
     generators = tuple(g * Poly.monomial(k) for k in range(e))
 
-    products = _generator_products(generators, depth)
-    pivot_degrees = _echelon_pivot_degrees(products)
-    for d in range(depth + 1):
-        achieved = sum(1 for p in pivot_degrees if p <= d)
+    counts = _degree_sum_counts([gen.degree for gen in generators], depth)
+    for d, achieved in enumerate(counts):
         expected = max(1, d - e + 2)
         if achieved != expected:
             raise CertificateFailure(
@@ -202,6 +183,7 @@ def subalgebra_membership(f: Poly, g: Poly) -> Union[MembershipCertificate, NotM
     constant = remainder.coefficient(0)
 
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    powers = [Poly.one()]
     current = f - Poly.constant(constant)
     while not current.is_zero:
         d = current.degree
@@ -215,13 +197,12 @@ def subalgebra_membership(f: Poly, g: Poly) -> Union[MembershipCertificate, NotM
         else:
             exponents[0] = q - 1
             exponents[r] += 1
-        product = Poly.one()
-        for gen, exp in zip(generators, exponents):
-            if exp:
-                product = product * gen ** exp
-        coefficient = current.leading / product.leading
+        # g^(q-1) * (g*t^r) is g^q shifted by r: monic of degree d
+        while len(powers) <= q:
+            powers.append(powers[-1] * g)
+        coefficient = current.leading
         terms.append((coefficient, tuple(exponents)))
-        current = current - product * coefficient
+        current = current - Poly((0,) * r + powers[q].coeffs) * coefficient
         if not current.is_zero and current.degree >= d:
             raise CertificateFailure("membership recursion failed to reduce degree")
     return MembershipCertificate(constant, tuple(terms), generators)

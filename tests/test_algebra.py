@@ -256,3 +256,31 @@ def test_jet_multiplicativity():
             n2, d2, center, order
         )
         assert lhs == rhs
+
+
+# --------------------------------------------------------------------------
+# Coefficient type
+# --------------------------------------------------------------------------
+
+def _all_exact_fractions(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def test_coefficients_are_always_exact_fractions():
+    # int, bool and Fraction inputs all come out as Fraction itself, and so
+    # does every arithmetic result, so no operation hands back an int
+    for coeffs in ((3, -1, 2), (True, False, True), (Fraction(1, 2), 0, Fraction(-3))):
+        p = Poly(coeffs)
+        j = Jet(3, coeffs)
+        made = Jet.make(4, coeffs)
+        polys = [p, p + p, -p, p - Poly.one(), p * p, p * 2, p * True, p ** 3,
+                 p.shifted(2), p.reversed_coeffs(), *divmod(p * p + Poly.one(), p)]
+        jets = [j, made, Jet.constant(True, 3), j + j, -j, j * j, j * 3, j ** 2]
+        if j.is_unit:
+            jets += [j.inverse(), unit_log(j), unit_exp(unit_log(j))]
+        for poly in polys:
+            assert _all_exact_fractions(poly.coeffs), poly
+        for jet in jets:
+            assert _all_exact_fractions(jet.coeffs), jet
+    assert type(Poly((1, 2))(3)) is Fraction
+    assert type(Poly.one().leading) is Fraction

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchjac.algebra import INFINITY, P1Point, Poly
 from pinchjac.contraction import (
     FiniteSubscheme,
     MembershipCertificate,
     NotMember,
+    _degree_sum_counts,
     contract_p1,
     contract_with_generators,
     contraction_generators,
@@ -18,6 +21,7 @@ from pinchjac.contraction import (
     vanishing_ideal_generator,
 )
 from pinchjac.errors import DegreeOne, InfinityUnsupported, NotMonic
+from pinchjac.verify import _oracle_membership
 
 
 def test_subscheme_guards():
@@ -60,6 +64,53 @@ def test_certificate_never_fires_for_small_degrees():
     for e in range(1, 7):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(e)] + [Fraction(1)]
         contraction_generators(Poly(coeffs))
+
+
+def _oracle_generator_products(generators: tuple[Poly, ...], max_degree: int) -> list[Poly]:
+    """All products of generators (including the empty product) of bounded degree."""
+    out: list[Poly] = []
+
+    def rec(index: int, current: Poly) -> None:
+        out.append(current)
+        for k in range(index, len(generators)):
+            extended = current * generators[k]
+            if extended.degree <= max_degree:
+                rec(k, extended)
+
+    rec(0, Poly.one())
+    return out
+
+
+def _oracle_echelon_pivot_degrees(polys: list[Poly]) -> set[int]:
+    """Pivot degrees of the row space, by exact elimination over the rationals."""
+    pivots: dict[int, Poly] = {}
+    for poly in polys:
+        current = poly
+        while not current.is_zero:
+            d = current.degree
+            if d in pivots:
+                current = current - pivots[d] * (current.leading / pivots[d].leading)
+            else:
+                pivots[d] = current
+                break
+    return set(pivots)
+
+
+def test_degree_count_matches_row_reduction_of_products():
+    # the certificate counts degree sums; the oracle multiplies every product
+    # out and row-reduces, so both must give the span dimension in every degree
+    rng = random.Random(29)
+    for e in range(1, 7):
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(e)]
+            g = Poly(coeffs + [Fraction(1)])
+            depth = 3 * e + 3
+            generators = contraction_generators(g, hilbert_checked_to=depth).generators
+            pivots = _oracle_echelon_pivot_degrees(
+                _oracle_generator_products(generators, depth)
+            )
+            counts = _degree_sum_counts([gen.degree for gen in generators], depth)
+            assert counts == [sum(1 for p in pivots if p <= d) for d in range(depth + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -115,10 +166,36 @@ def test_degree_one_polynomials_never_belong():
         assert subalgebra_membership(f, g) == NotMember(1)
 
 
+_small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def _membership_cases(draw):
+    e = draw(st.integers(1, 5))
+    g = Poly(draw(st.lists(_small_rationals, min_size=e, max_size=e)) + [Fraction(1)])
+    h = Poly(draw(st.lists(_small_rationals, max_size=7)))
+    constant = draw(_small_rationals)
+    if draw(st.booleans()):
+        f = Poly.constant(constant) + g * h
+    else:
+        f = h + Poly.constant(constant)
+    return f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_membership_cases())
+def test_membership_agrees_with_row_reduction_oracle(case):
+    f, g = case
+    answer = subalgebra_membership(f, g)
+    assert isinstance(answer, MembershipCertificate) == _oracle_membership(f, g)
+    if isinstance(answer, MembershipCertificate):
+        assert answer.expand() == f
+
+
 def test_dimension_oracle_by_semigroup_reachability():
-    # independent of the row reduction: monic products of generators exist in
-    # every degree from e up, because every d >= e is a sum of values in
-    # {e, ..., 2e - 1}; so the slice dimension is 1 + #{e..d}
+    # the closed form behind the degree count: monic products of generators
+    # exist in every degree from e up, because every d >= e is a sum of
+    # values in {e, ..., 2e - 1}; so the slice dimension is 1 + #{e..d}
     for e in range(1, 7):
         depth = 3 * e + 3
         reachable = {0}

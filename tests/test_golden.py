@@ -1,4 +1,5 @@
-"""CLI stdout on the shipped fixtures, byte for byte against recorded output.
+"""CLI stdout on the shipped fixtures and on fixed subschemes to contract, byte
+for byte against recorded output.
 
 A refactor must leave every recording in tests/golden/ unchanged. A change
 that means to alter an output re-records that file with
@@ -18,6 +19,16 @@ FIXTURES = Path(pinchjac.__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = ("cuspidal", "elliptic_pair", "lut", "nodal", "two_lines")
 AJ_POINTS = {"cuspidal": "L:2", "lut": "L1:2", "nodal": "L:2", "two_lines": "L2:2"}
+# one subscheme per degree e, with the multiplicities the benchmark contracts,
+# plus one through infinity that needs a change of coordinates
+CONTRACT_POINTS = {
+    "contract_e4": "-2:2,0:1,3:1",
+    "contract_e6": "1:2,-1:2,0:1,4:1",
+    "contract_e8": "0:3,2:2,-3:1,5:1,-1:1",
+    "contract_e10": "-1:3,1:2,3:2,-4:2,6:1",
+    "contract_e12": "2:3,-2:3,0:2,5:2,-5:1,1:1",
+    "contract_inf": "inf:2,0:1,1:1",
+}
 
 CASES = (
     [(f"jacobian_{n}", ["jacobian", str(FIXTURES / f"{n}.curve")]) for n in NAMES]
@@ -32,6 +43,7 @@ CASES = (
             ["witness", str(FIXTURES / "lut.curve"), "--sing", "n1", "--branch", "0"],
         )
     ]
+    + [(name, ["contract", f"--points={points}"]) for name, points in CONTRACT_POINTS.items()]
 )
 
 
