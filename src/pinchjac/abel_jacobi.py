@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Jet, P1Point, Poly, RatLike, jet_of_rational_function
+from .algebra import Jet, P1Point, Poly, RatLike
 from .curve_model import CurveConfig, is_smooth_point, require_valid
 from .errors import (
     MissingBasepoint,
@@ -25,7 +25,14 @@ from .errors import (
     PositiveGenusUnsupported,
     SingularPoint,
 )
-from .jacobian import JacElement, JacobianPresentation, class_reduce, jac_eq, unit_jet_vector
+from .jacobian import (
+    JacElement,
+    JacobianPresentation,
+    _check_presentation,
+    _reduce,
+    jac_eq,
+    unit_jet_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -59,19 +66,44 @@ class SmoothDivisor:
         return SmoothDivisor(tuple((c, p, -k) for c, p, k in self.entries))
 
 
-def _interpolating_function(points: list[tuple[P1Point, int]]) -> tuple[Poly, Poly]:
-    """Numerator and denominator of the product of (t - a)^coefficient."""
-    numerator = Poly.one()
-    denominator = Poly.one()
-    for point, coefficient in points:
-        if point.is_infinity or coefficient == 0:
-            continue
-        factor = Poly((-point.value, 1)) ** abs(coefficient)
-        if coefficient > 0:
-            numerator = numerator * factor
-        else:
-            denominator = denominator * factor
-    return numerator, denominator
+def _require_genus_zero(config: CurveConfig) -> None:
+    for c in config.components:
+        if c.genus > 0:
+            raise PositiveGenusUnsupported(f"component {c.id!r} has genus {c.genus}")
+
+
+def _branch_jet(points: list[tuple[P1Point, int]], center: P1Point, order: int) -> Jet:
+    """Jet at the center of the product of (t - a)^k over the points.
+
+    It is the product of the factors' jets (u + v s)^k, which are
+    u^k * sum_j binomial(k, j) (v s / u)^j for k of either sign. The factor
+    u + v s is (c - a) + s at a finite center c, and 1 - a s at infinity (the
+    powers of s cancel, the degree being zero). Points at infinity get none.
+    """
+    jet = Jet.constant(1, order)
+    for point, k in points:
+        if not point.is_infinity:
+            a = point.value
+            u, v = (Fraction(1), -a) if center.is_infinity else (center.value - a, Fraction(1))
+            coeffs = [u**k]
+            for j in range(order - 1):
+                coeffs.append(coeffs[-1] * v * (k - j) / (u * (j + 1)))
+            jet = jet * Jet(order, tuple(coeffs))
+    return jet
+
+
+def _class(
+    config: CurveConfig,
+    presentation: JacobianPresentation,
+    support: dict[str, list[tuple[P1Point, int]]],
+) -> JacElement:
+    """Class of a checked divisor: its points with nonzero coefficient per component."""
+    jets = {
+        (s.id, i): _branch_jet(support.get(b.component, []), b.point, b.multiplicity)
+        for s in config.singularities
+        for i, b in enumerate(s.branches)
+    }
+    return _reduce(config, presentation, unit_jet_vector(config, jets))
 
 
 def divisor_class(
@@ -79,45 +111,27 @@ def divisor_class(
 ) -> JacElement:
     """Class of a per-component-degree-zero divisor supported in the smooth locus."""
     require_valid(config)
-    for component in config.components:
-        if component.genus > 0:
-            raise PositiveGenusUnsupported(
-                f"component {component.id!r} has genus {component.genus}"
-            )
+    _require_genus_zero(config)
 
     merged: dict[tuple[str, P1Point], int] = {}
     for component_id, point, coefficient in divisor.entries:
         config.component(component_id)
         merged[(component_id, point)] = merged.get((component_id, point), 0) + coefficient
+    support: dict[str, list[tuple[P1Point, int]]] = {}
     for (component_id, point), coefficient in merged.items():
-        if coefficient != 0 and not is_smooth_point(config, component_id, point):
+        if coefficient == 0:
+            continue
+        if (component_id, point) in config.branch_points():
             raise PointNotSmooth(f"({component_id}, {point}) is a branch point")
+        support.setdefault(component_id, []).append((point, coefficient))
 
-    degrees = divisor.degree_by_component()
-    for component_id, degree in degrees.items():
+    for component_id, degree in divisor.degree_by_component().items():
         if degree != 0:
             raise NonzeroDegree(
                 f"divisor has degree {degree} on component {component_id!r}"
             )
-
-    per_component: dict[str, list[tuple[P1Point, int]]] = {}
-    for (component_id, point), coefficient in merged.items():
-        if coefficient != 0:
-            per_component.setdefault(component_id, []).append((point, coefficient))
-
-    jets: dict[tuple[str, int], Jet] = {}
-    for s in config.singularities:
-        for i, b in enumerate(s.branches):
-            points = per_component.get(b.component)
-            if not points:
-                jets[(s.id, i)] = Jet.constant(1, b.multiplicity)
-                continue
-            numerator, denominator = _interpolating_function(points)
-            jets[(s.id, i)] = jet_of_rational_function(
-                numerator, denominator, b.point, b.multiplicity
-            )
-    vector = unit_jet_vector(config, jets)
-    return class_reduce(config, presentation, vector)
+    _check_presentation(config, presentation)
+    return _class(config, presentation, support)
 
 
 def aj_eval(
@@ -135,6 +149,8 @@ def aj_eval(
     if not isinstance(point, P1Point):
         point = P1Point.finite(point)
     require_valid(config)
+    # the configuration's own basepoints are smooth, or require_valid fails
+    check_base = basepoints is not None
     if basepoints is None:
         basepoints = dict(config.basepoints)
     for component in config.components:
@@ -143,8 +159,12 @@ def aj_eval(
     if not is_smooth_point(config, component_id, point):
         raise PointNotSmooth(f"({component_id}, {point}) is a branch point")
     base = basepoints[component_id]
-    divisor = SmoothDivisor(((component_id, point, 1), (component_id, base, -1)))
-    return divisor_class(config, presentation, divisor)
+    _require_genus_zero(config)
+    if check_base and base != point and not is_smooth_point(config, component_id, base):
+        raise PointNotSmooth(f"({component_id}, {base}) is a branch point")
+    _check_presentation(config, presentation)
+    support = {component_id: [(point, 1), (base, -1)]} if base != point else {}
+    return _class(config, presentation, support)
 
 
 @dataclass(frozen=True)
@@ -166,11 +186,7 @@ def aj_injectivity_probe(
     Collisions are reported as ordered pairs in sample order; the comparison
     is exact rational equality of canonical coordinates.
     """
-    normalized: list[tuple[str, P1Point]] = []
-    for component_id, point in sample:
-        if not isinstance(point, P1Point):
-            point = P1Point.finite(point)
-        normalized.append((component_id, point))
+    normalized = [(c, p if isinstance(p, P1Point) else P1Point.finite(p)) for c, p in sample]
     classes = [
         aj_eval(config, presentation, component_id, point, basepoints)
         for component_id, point in normalized

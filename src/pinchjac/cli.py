@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .abel_jacobi import aj_eval, aj_injectivity_probe
 from .algebra import P1Point, rational_str
 from .contraction import contract_with_generators, finite_subscheme
-from .curve_model import CurveConfig, is_smooth_point, require_valid
+from .curve_model import CurveConfig, require_valid, smooth_sample
 from .dsl import DslParseError, parse_curve_dsl, parse_point, print_curve_dsl
 from .errors import (
     InvalidConfig,
@@ -40,10 +39,6 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _point_json(point: P1Point) -> str:
-    return str(point)
-
-
 def _config_json(config: CurveConfig) -> dict:
     return {
         "name": config.name,
@@ -54,7 +49,7 @@ def _config_json(config: CurveConfig) -> dict:
                 "branches": [
                     {
                         "component": b.component,
-                        "point": _point_json(b.point),
+                        "point": str(b.point),
                         "multiplicity": b.multiplicity,
                     }
                     for b in s.branches
@@ -62,7 +57,7 @@ def _config_json(config: CurveConfig) -> dict:
             }
             for s in config.singularities
         ],
-        "basepoints": {cid: _point_json(p) for cid, p in config.basepoints},
+        "basepoints": {cid: str(p) for cid, p in config.basepoints},
     }
 
 
@@ -135,19 +130,11 @@ def _cmd_probe(args) -> int:
         raise _CliUsage(f"--samples must be at least 1, got {args.samples}")
     config = _load_config(args.file)
     presentation = jacobian_structure(config)
-    sample = []
-    for component in config.components:
-        found = 0
-        candidate = 0
-        while found < args.samples:
-            k = candidate
-            candidate += 1
-            value = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
-            point = P1Point.finite(value)
-            if not is_smooth_point(config, component.id, point):
-                continue
-            sample.append((component.id, point))
-            found += 1
+    sample = [
+        (component.id, point)
+        for component in config.components
+        for point in smooth_sample(config, component.id, args.samples)
+    ]
     report = aj_injectivity_probe(config, presentation, sample)
     _emit(
         {

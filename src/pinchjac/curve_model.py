@@ -17,6 +17,7 @@ is answered from one spanning forest grown by ``spanning_forest``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -401,4 +402,11 @@ def is_smooth_point(config: CurveConfig, component_id: str, point: P1Point) -> b
             f"component {component_id!r} has genus {component.genus}; "
             "point arithmetic is only supported on genus-0 components"
         )
-    return (component_id, point) not in set(config.branch_points())
+    return (component_id, point) not in config.branch_points()
+
+
+def smooth_sample(config: CurveConfig, component_id: str, count: int) -> list[P1Point]:
+    """The first ``count`` smooth points among 0, 1, -1, 2, -2, ... of a component."""
+    points = (P1Point.finite((k + 1) // 2 if k % 2 else -(k // 2)) for k in itertools.count())
+    smooth = (p for p in points if is_smooth_point(config, component_id, p))
+    return list(itertools.islice(smooth, count))

@@ -20,7 +20,7 @@ against the first-listed branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -133,24 +133,21 @@ class UnitJetVector:
     """One unit jet per branch, the jet order matching the branch multiplicity."""
 
     entries: tuple[tuple[str, int, Jet], ...]
+    _jets: dict[Edge, Jet] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.entries, key=lambda e: (e[0], e[1])))
         object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "_jets", {(s, i): j for s, i, j in ordered})
 
     def jet(self, singularity_id: str, branch_index: int) -> Jet:
-        for sing, idx, jet in self.entries:
-            if sing == singularity_id and idx == branch_index:
-                return jet
-        raise KeyError((singularity_id, branch_index))
+        return self._jets[(singularity_id, branch_index)]
 
     def __mul__(self, other: "UnitJetVector") -> "UnitJetVector":
-        mine = {(s, i): j for s, i, j in self.entries}
-        theirs = {(s, i): j for s, i, j in other.entries}
-        if set(mine) != set(theirs):
+        if self._jets.keys() != other._jets.keys():
             raise OrderMismatch("unit-jet vectors live on different branch sets")
         return UnitJetVector(
-            tuple((s, i, mine[(s, i)] * theirs[(s, i)]) for s, i in sorted(mine))
+            tuple((s, i, j * other._jets[(s, i)]) for s, i, j in self.entries)
         )
 
     def inverse(self) -> "UnitJetVector":
@@ -261,6 +258,11 @@ def jac_eq(a: JacElement, b: JacElement) -> bool:
     return a.torus_coords == b.torus_coords and a.unipotent_coords == b.unipotent_coords
 
 
+def _check_presentation(config: CurveConfig, presentation: JacobianPresentation) -> None:
+    if presentation.config_fingerprint != config.fingerprint():
+        raise PresentationMismatch("presentation was computed from a different config")
+
+
 def class_reduce(
     config: CurveConfig, presentation: JacobianPresentation, vector: UnitJetVector
 ) -> JacElement:
@@ -273,10 +275,14 @@ def class_reduce(
     vectors of the form (constant per component) * (constant per singularity)
     with trivial higher jets.
     """
-    if presentation.config_fingerprint != config.fingerprint():
-        raise PresentationMismatch("presentation was computed from a different config")
-    vector = unit_jet_vector(config, {(s, i): j for s, i, j in vector.entries})
+    _check_presentation(config, presentation)
+    return _reduce(config, presentation, unit_jet_vector(config, vector._jets))
 
+
+def _reduce(
+    config: CurveConfig, presentation: JacobianPresentation, vector: UnitJetVector
+) -> JacElement:
+    """``class_reduce`` of a vector already checked against the presentation's config."""
     unipotent = tuple(
         unit_log(vector.jet(sing, idx)).coeffs[k]
         for sing, idx, k in presentation.unipotent_basis

@@ -32,8 +32,7 @@ class ModificationSite:
 
 
 def _reduced_bridges(config: CurveConfig, *, thick: bool) -> tuple[ModificationSite, ...]:
-    """Reduced bridges at singularities that have (thick) or lack a thick branch."""
-    require_valid(config)
+    """Reduced bridges at singularities with (thick) or without a thick branch, unvalidated."""
     cut = bridges(config)
     return tuple(
         ModificationSite(s.id, i)
@@ -46,6 +45,7 @@ def _reduced_bridges(config: CurveConfig, *, thick: bool) -> tuple[ModificationS
 
 def modifiable_sites(config: CurveConfig) -> tuple[ModificationSite, ...]:
     """All modification sites, in configuration order."""
+    require_valid(config)
     return _reduced_bridges(config, thick=False)
 
 
@@ -55,6 +55,7 @@ def indeterminate_sites(config: CurveConfig) -> tuple[ModificationSite, ...]:
     These satisfy every site condition except full reducedness of the
     singularity; eligibility is left undecided rather than guessed.
     """
+    require_valid(config)
     return _reduced_bridges(config, thick=True)
 
 

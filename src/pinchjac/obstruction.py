@@ -24,7 +24,7 @@ from typing import Mapping, Union
 from .algebra import Jet
 from .curve_model import CurveConfig, component_partition_without, require_valid
 from .errors import InvalidProblem, SiteIsModifiable
-from .modification import ModificationSite, modifiable_sites
+from .modification import ModificationSite, _reduced_bridges
 
 CASE_NON_REDUCED_JET = "NonReducedJet"
 CASE_SAME_COMPONENT = "SameComponentTwoBranches"
@@ -160,7 +160,7 @@ def obstruction_witness(
         raise InvalidProblem(
             f"singularity {singularity_id!r} has no branch {branch_index}"
         )
-    if ModificationSite(singularity_id, branch_index) in modifiable_sites(config):
+    if ModificationSite(singularity_id, branch_index) in _reduced_bridges(config, thick=False):
         raise SiteIsModifiable(
             f"({singularity_id}, {branch_index}) is a modification site; "
             "the curve extends there instead of obstructing"
@@ -177,12 +177,12 @@ def obstruction_witness(
         scalar = Fraction(2)
         distinguished = Jet.constant(scalar, branch.multiplicity)
 
-    germ = {
-        i: distinguished if i == branch_index else Jet.constant(1, b.multiplicity)
+    germ = tuple(
+        distinguished if i == branch_index else Jet.constant(1, b.multiplicity)
         for i, b in enumerate(s.branches)
-    }
-    problem = liftability_problem(config, singularity_id, germ)
-    outcome = liftability_test(problem)
+    )
+    partition = component_partition_without(config, singularity_id)
+    outcome = liftability_test(LiftabilityProblem(config, singularity_id, germ, partition))
     if isinstance(outcome, Liftable):
         return NotFound(singularity_id, branch_index, outcome)
     return Witness(
@@ -190,6 +190,6 @@ def obstruction_witness(
         branch=branch_index,
         case=case,
         scalar=scalar,
-        germ=problem.germ,
+        germ=germ,
         failure=outcome,
     )

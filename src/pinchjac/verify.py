@@ -42,7 +42,7 @@ from .contraction import (
     subalgebra_membership,
     vanishing_ideal_generator,
 )
-from .curve_model import CurveConfig, dual_graph, is_smooth_point
+from .curve_model import CurveConfig, dual_graph, smooth_sample
 from .dsl import parse_curve_dsl
 from .jacobian import class_reduce, constant_vector, jac_add, jac_eq, jacobian_structure
 from .modification import modifiable_sites, modify
@@ -99,10 +99,8 @@ def _oracle_graph_ranks(config: CurveConfig) -> tuple[int, int]:
     ]
     uf = _UnionFind(vertices)
     cycles = 0
-    edges = 0
     for s in config.singularities:
         for b in s.branches:
-            edges += 1
             if not uf.union(("S", s.id), ("C", b.component)):
                 cycles += 1
     components = len({uf.find(v) for v in vertices})
@@ -136,26 +134,13 @@ def _oracle_membership(f: Poly, g: Poly) -> bool:
     return True
 
 
-def _smooth_values(config: CurveConfig, component_id: str, count: int):
-    """Deterministic smooth rational points: 0, 1, -1, 2, -2, ... filtered."""
-    out = []
-    k = 0
-    while len(out) < count:
-        value = Fraction((k + 1) // 2 if k % 2 else -(k // 2))
-        k += 1
-        point = P1Point.finite(value)
-        if is_smooth_point(config, component_id, point):
-            out.append(point)
-    return out
-
-
 def _random_degree_zero_divisor(rng: random.Random, config: CurveConfig) -> SmoothDivisor:
     entries = []
     for component in config.components:
         pairs = rng.randint(0, 2)
         if pairs == 0:
             continue
-        points = _smooth_values(config, component.id, 12)
+        points = smooth_sample(config, component.id, 12)
         chosen = rng.sample(points, k=2 * pairs)
         for i in range(pairs):
             weight = rng.randint(1, 3)
@@ -272,14 +257,14 @@ def criterion_4_abel_jacobi_injectivity(seed: int = 0) -> CheckResult:
 
     nodal = load_fixture("nodal")
     nodal_pres = jacobian_structure(nodal)
-    sample = [("L", point) for point in _smooth_values(nodal, "L", 100)]
+    sample = [("L", point) for point in smooth_sample(nodal, "L", 100)]
     report = aj_injectivity_probe(nodal, nodal_pres, sample)
     if report.collisions:
         failures.append(f"nodal cubic produced {len(report.collisions)} collisions")
 
     cusp = load_fixture("cuspidal")
     cusp_pres = jacobian_structure(cusp)
-    sample = [("L", point) for point in _smooth_values(cusp, "L", 100)]
+    sample = [("L", point) for point in smooth_sample(cusp, "L", 100)]
     report = aj_injectivity_probe(cusp, cusp_pres, sample)
     if report.collisions:
         failures.append(f"cuspidal cubic produced {len(report.collisions)} collisions")

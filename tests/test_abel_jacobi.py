@@ -11,6 +11,7 @@ from pinchjac.abel_jacobi import (
     NODAL_X,
     NODAL_Y,
     SmoothDivisor,
+    _branch_jet,
     aj_eval,
     aj_injectivity_probe,
     cuspidal_param,
@@ -19,7 +20,13 @@ from pinchjac.abel_jacobi import (
     param_inverse,
 )
 from pinchjac.algebra import INFINITY, P1Point, jet_of_rational_function, Poly
-from pinchjac.builders import cuspidal_cubic, elliptic_pair, nodal_cubic, two_nodes_pair
+from pinchjac.builders import (
+    cuspidal_cubic,
+    elliptic_pair,
+    nodal_cubic,
+    random_rational_aj_config,
+    two_nodes_pair,
+)
 from pinchjac.contraction import contract_p1, finite_subscheme
 from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity, with_basepoints
 from pinchjac.errors import (
@@ -30,6 +37,7 @@ from pinchjac.errors import (
     SingularPoint,
 )
 from pinchjac.jacobian import class_reduce, jac_add, jac_eq, jac_neg, jacobian_structure, unit_jet_vector
+from pinchjac.verify import _random_degree_zero_divisor
 
 
 def _pt(v) -> P1Point:
@@ -301,3 +309,68 @@ def test_divisor_class_is_additive():
             divisor_class(config, presentation, d2),
         )
         assert jac_eq(lhs, rhs)
+
+
+# --------------------------------------------------------------------------
+# Jets from linear factors against the jets of the whole rational function
+# --------------------------------------------------------------------------
+
+def _product_function(points) -> tuple[Poly, Poly]:
+    """Numerator and denominator of the product of (t - a)^k over the finite points."""
+    numerator = denominator = Poly.one()
+    for point, k in points:
+        if not point.is_infinity:
+            factor = Poly((-point.value, 1)) ** abs(k)
+            if k > 0:
+                numerator = numerator * factor
+            else:
+                denominator = denominator * factor
+    return numerator, denominator
+
+
+def _random_support(rng: random.Random, center: P1Point) -> list[tuple[P1Point, int]]:
+    """Distinct smooth points off the center with coefficients summing to zero; the
+    point at infinity takes part only when the center is finite. The balancing
+    point 97/7 lies outside the range the centers and other points come from."""
+    values = {Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))}
+    values.discard(center.value)
+    points = [(P1Point.finite(v), rng.choice((-3, -2, -1, 1, 2, 3))) for v in sorted(values)]
+    balance = -sum(k for _, k in points)
+    if balance:
+        if center.is_infinity or rng.random() < 0.5:
+            points.append((P1Point.finite(Fraction(97, 7)), balance))
+        else:
+            points.append((INFINITY, balance))
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_linear_factor_jets_match_the_rational_function(order):
+    rng = random.Random(order)
+    for _ in range(25):
+        center = INFINITY if rng.random() < 0.4 else _pt(Fraction(rng.randint(-9, 9), 3))
+        points = _random_support(rng, center)
+        numerator, denominator = _product_function(points)
+        expected = jet_of_rational_function(numerator, denominator, center, order)
+        assert _branch_jet(points, center, order) == expected
+
+
+def test_divisor_class_matches_the_rational_function_path():
+    rng = random.Random(5)
+    for _ in range(40):
+        config = random_rational_aj_config(rng)
+        presentation = jacobian_structure(config)
+        divisor = _random_degree_zero_divisor(rng, config)
+        support: dict[str, list] = {}
+        for component_id, point, k in divisor.entries:
+            support.setdefault(component_id, []).append((point, k))
+        jets = {}
+        for s in config.singularities:
+            for i, b in enumerate(s.branches):
+                numerator, denominator = _product_function(support.get(b.component, []))
+                jets[(s.id, i)] = jet_of_rational_function(
+                    numerator, denominator, b.point, b.multiplicity
+                )
+        expected = class_reduce(config, presentation, unit_jet_vector(config, jets))
+        assert divisor_class(config, presentation, divisor) == expected

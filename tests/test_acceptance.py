@@ -2,7 +2,9 @@
 
 Criteria 1 through 8 run through the same seeded checkers the `verify`
 command uses (their oracles are implemented independently of the library
-paths they check); criterion 9 drives the CLI itself.
+paths they check); criterion 9 drives the CLI itself. The per-criterion tests
+read one shared seed-0 run, and the determinism test compares that run with a
+fresh one.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ from pinchjac.cli import main
 from pinchjac.verify import CRITERIA, run_all
 
 
+@pytest.fixture(scope="module")
+def seed_0_results():
+    """One seed-0 run of criteria 1 through 8, shared by the tests that only read it."""
+    return run_all(seed=0)
+
+
 @pytest.mark.parametrize("checker", CRITERIA, ids=lambda c: c.__name__)
-def test_criterion(checker, capsys):
-    result = checker(seed=0)
+def test_criterion(checker, seed_0_results, capsys):
+    result = seed_0_results[CRITERIA.index(checker)]
     with capsys.disabled():
         status = "PASS" if result.passed else "FAIL"
         print(f"criterion {result.criterion} {status}: {result.name} [{result.details}]")
@@ -36,8 +44,8 @@ def test_criterion_9_verify_command(capsys):
     assert [c["criterion"] for c in payload["criteria"]] == list(range(1, 9))
 
 
-def test_suite_is_deterministic():
-    first = run_all(seed=0)
+def test_suite_is_deterministic(seed_0_results):
+    first = seed_0_results
     second = run_all(seed=0)
     assert [(r.criterion, r.passed, r.details) for r in first] == [
         (r.criterion, r.passed, r.details) for r in second

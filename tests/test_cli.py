@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import pinchjac
 from pinchjac.cli import main
 
 NODAL = "curve nodal\ncomponent L genus 0\nsing n node (L at 0) (L at 1)\nbase L at inf\n"
@@ -17,12 +18,17 @@ TWO_LINES = (
     "curve two_lines\ncomponent L1\ncomponent L2\n"
     "sing n node (L1 at 0) (L2 at 0)\nbase L1 at inf\nbase L2 at inf\n"
 )
+MIXED = (
+    "curve mixed\ncomponent L genus 0\ncomponent E genus 1\n"
+    "sing n node (L at 0) (E at 0)\nbase L at inf\nbase E at 1\n"
+)
+ELLIPTIC_PAIR = Path(pinchjac.__file__).parent / "fixtures" / "elliptic_pair.curve"
 
 
 @pytest.fixture
 def curves(tmp_path: Path) -> dict[str, str]:
     paths = {}
-    for name, text in (("nodal", NODAL), ("lut", LUT), ("two_lines", TWO_LINES)):
+    for name, text in (("nodal", NODAL), ("lut", LUT), ("two_lines", TWO_LINES), ("mixed", MIXED)):
         path = tmp_path / f"{name}.curve"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
@@ -77,6 +83,29 @@ def test_probe_command(capsys, curves):
     code, out, _ = _run(capsys, ["probe", curves["nodal"], "--samples", "25"])
     assert code == 0
     assert json.loads(out)["collisions"] == []
+
+
+# A positive-genus component is a mathematical negative (exit 1), not a usage
+# error: point arithmetic exists only on genus-0 components.
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ("L:2", "PositiveGenusUnsupported: component 'E' has genus 1\n"),
+        (
+            "E:2",
+            "PositiveGenusUnsupported: component 'E' has genus 1; "
+            "point arithmetic is only supported on genus-0 components\n",
+        ),
+    ],
+)
+def test_aj_on_mixed_genera_is_negative(capsys, curves, point, message):
+    assert _run(capsys, ["aj", curves["mixed"], "--point", point]) == (1, "", message)
+
+
+def test_probe_on_positive_genus_is_negative(capsys):
+    code, out, err = _run(capsys, ["probe", str(ELLIPTIC_PAIR), "--samples", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("PositiveGenusUnsupported: component 'E1' has genus 1; ")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

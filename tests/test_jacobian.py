@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchjac.algebra import Jet, P1Point
 from pinchjac.builders import (
@@ -30,6 +32,7 @@ from pinchjac.errors import (
     PresentationMismatch,
 )
 from pinchjac.jacobian import (
+    UnitJetVector,
     change_of_basis,
     class_reduce,
     constant_vector,
@@ -194,6 +197,34 @@ def test_class_reduce_is_a_homomorphism():
             class_reduce(config, presentation, w),
         )
         assert jac_eq(lhs, rhs)
+
+
+def test_unit_jet_vector_is_keyed_by_branch_and_compares_by_entries():
+    a, b, c = (Jet.constant(k, 1) for k in (2, 3, 5))
+    v = UnitJetVector((("t", 0, a), ("s", 1, b), ("s", 0, c)))
+    w = UnitJetVector((("s", 0, c), ("t", 0, a), ("s", 1, b)))
+    assert v.entries == (("s", 0, c), ("s", 1, b), ("t", 0, a))
+    assert v == w and hash(v) == hash(w)
+    assert v != UnitJetVector((("s", 0, c), ("s", 1, b), ("t", 0, b)))
+    assert (v.jet("s", 1), v.jet("t", 0)) == (b, a)
+    with pytest.raises(KeyError):
+        v.jet("t", 1)
+    with pytest.raises(OrderMismatch):
+        v * UnitJetVector((("s", 0, c),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_unit_jet_vectors_commute_and_reduce_homomorphically(seed):
+    rng = random.Random(seed)
+    config = random_config(rng)
+    presentation = jacobian_structure(config)
+    v = random_unit_jet_vector(rng, config)
+    w = random_unit_jet_vector(rng, config)
+    assert v * w == w * v
+    assert class_reduce(config, presentation, v * w) == jac_add(
+        class_reduce(config, presentation, v), class_reduce(config, presentation, w)
+    )
 
 
 # --------------------------------------------------------------------------
