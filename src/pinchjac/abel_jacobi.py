@@ -25,14 +25,7 @@ from .errors import (
     PositiveGenusUnsupported,
     SingularPoint,
 )
-from .jacobian import (
-    JacElement,
-    JacobianPresentation,
-    _check_presentation,
-    _reduce,
-    jac_eq,
-    unit_jet_vector,
-)
+from .jacobian import JacElement, JacobianPresentation, UnitJetVector, class_reduce, jac_eq
 
 
 @dataclass(frozen=True)
@@ -46,12 +39,10 @@ class SmoothDivisor:
 
     @classmethod
     def of(cls, entries) -> "SmoothDivisor":
-        out = []
-        for component, point, coefficient in entries:
-            if not isinstance(point, P1Point):
-                point = P1Point.finite(point)
-            out.append((component, point, int(coefficient)))
-        return cls(tuple(out))
+        return cls(tuple(
+            (component, P1Point.of(point), int(coefficient))
+            for component, point, coefficient in entries
+        ))
 
     def degree_by_component(self) -> dict[str, int]:
         degrees: dict[str, int] = {}
@@ -98,12 +89,12 @@ def _class(
     support: dict[str, list[tuple[P1Point, int]]],
 ) -> JacElement:
     """Class of a checked divisor: its points with nonzero coefficient per component."""
-    jets = {
-        (s.id, i): _branch_jet(support.get(b.component, []), b.point, b.multiplicity)
+    jets = tuple(
+        (s.id, i, _branch_jet(support.get(b.component, []), b.point, b.multiplicity))
         for s in config.singularities
         for i, b in enumerate(s.branches)
-    }
-    return _reduce(config, presentation, unit_jet_vector(config, jets))
+    )
+    return class_reduce(config, presentation, UnitJetVector(jets))
 
 
 def divisor_class(
@@ -130,7 +121,6 @@ def divisor_class(
             raise NonzeroDegree(
                 f"divisor has degree {degree} on component {component_id!r}"
             )
-    _check_presentation(config, presentation)
     return _class(config, presentation, support)
 
 
@@ -146,23 +136,20 @@ def aj_eval(
     Basepoints default to the configuration's own assignment; every component
     must have one.
     """
-    if not isinstance(point, P1Point):
-        point = P1Point.finite(point)
+    point = P1Point.of(point)
     require_valid(config)
     # the configuration's own basepoints are smooth, or require_valid fails
     check_base = basepoints is not None
-    if basepoints is None:
-        basepoints = dict(config.basepoints)
+    basepoint = config.basepoint if basepoints is None else basepoints.get
     for component in config.components:
-        if component.id not in basepoints:
+        if basepoint(component.id) is None:
             raise MissingBasepoint(f"component {component.id!r} has no basepoint")
     if not is_smooth_point(config, component_id, point):
         raise PointNotSmooth(f"({component_id}, {point}) is a branch point")
-    base = basepoints[component_id]
+    base = basepoint(component_id)
     _require_genus_zero(config)
     if check_base and base != point and not is_smooth_point(config, component_id, base):
         raise PointNotSmooth(f"({component_id}, {base}) is a branch point")
-    _check_presentation(config, presentation)
     support = {component_id: [(point, 1), (base, -1)]} if base != point else {}
     return _class(config, presentation, support)
 
@@ -186,7 +173,7 @@ def aj_injectivity_probe(
     Collisions are reported as ordered pairs in sample order; the comparison
     is exact rational equality of canonical coordinates.
     """
-    normalized = [(c, p if isinstance(p, P1Point) else P1Point.finite(p)) for c, p in sample]
+    normalized = [(c, P1Point.of(p)) for c, p in sample]
     classes = [
         aj_eval(config, presentation, component_id, point, basepoints)
         for component_id, point in normalized

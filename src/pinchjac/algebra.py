@@ -52,6 +52,11 @@ class P1Point:
     def infinity(cls) -> "P1Point":
         return cls(None)
 
+    @classmethod
+    def of(cls, point: "P1Point | RatLike") -> "P1Point":
+        """The point itself, or the finite point with that value."""
+        return point if isinstance(point, P1Point) else cls.finite(point)
+
     @property
     def is_infinity(self) -> bool:
         return self.value is None
@@ -74,6 +79,20 @@ def _strip(coeffs: Iterable[RatLike]) -> tuple[Fraction, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _power(base, n: int):
+    """``base ** n`` for n >= 1, squaring down the bits of n from the top.
+
+    No product with one and no squaring past the last bit: ``base ** 1``
+    costs no multiplication and ``base ** 2`` one.
+    """
+    result = base
+    for bit in bin(n)[3:]:  # the bits below the leading one
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
 
 
 @dataclass(frozen=True)
@@ -173,14 +192,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else Poly.one()
 
     def __divmod__(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         if divisor.is_zero:
@@ -341,14 +353,7 @@ class Jet:
     def __pow__(self, n: int) -> "Jet":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Jet.constant(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else Jet.constant(1, self.order)
 
     def __str__(self) -> str:
         return "(" + ", ".join(rational_str(c) for c in self.coeffs) + f") order {self.order}"

@@ -60,12 +60,8 @@ class FiniteSubscheme:
 
 def finite_subscheme(points) -> FiniteSubscheme:
     """Build a subscheme from (point-like, multiplicity) pairs."""
-    out = []
-    for point, mult in points:
-        if not isinstance(point, P1Point):
-            point = P1Point.finite(point)
-        out.append((point, int(mult)))
-    return FiniteSubscheme(tuple(out))
+    out = tuple((P1Point.of(point), int(mult)) for point, mult in points)
+    return FiniteSubscheme(out)
 
 
 def vanishing_ideal_generator(z: FiniteSubscheme) -> Poly:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .algebra import P1Point
@@ -35,6 +35,7 @@ DUPLICATE_SINGULARITY_ID = "DuplicateSingularityId"
 UNKNOWN_COMPONENT = "UnknownComponent"
 DUPLICATE_BRANCH_POINT = "DuplicateBranchPoint"
 BASEPOINT_NOT_SMOOTH = "BasepointNotSmooth"
+DUPLICATE_BASEPOINT = "DuplicateBasepoint"
 TOTAL_MULTIPLICITY_TOO_LOW = "TotalMultiplicityTooLow"
 POSITIVE_GENUS_THICK_BRANCH = "PositiveGenusThickBranch"
 
@@ -90,56 +91,75 @@ class Singularity:
 
 @dataclass(frozen=True)
 class CurveConfig:
-    """A full configuration; basepoints are optional and per component."""
+    """A full configuration; basepoints are optional and per component.
+
+    The facts every entry point reads (violations, fingerprint, id lookups,
+    branch points) are computed once, when the configuration is built. Where
+    an id repeats, lookups return its first occurrence.
+    """
 
     name: str
     components: tuple[Component, ...]
     singularities: tuple[Singularity, ...] = ()
     basepoints: tuple[tuple[str, P1Point], ...] = ()
+    _components: dict[str, Component] = field(init=False, repr=False, compare=False)
+    _singularities: dict[str, Singularity] = field(init=False, repr=False, compare=False)
+    _basepoints: dict[str, P1Point] = field(init=False, repr=False, compare=False)
+    _branch_points: frozenset[tuple[str, P1Point]] = field(init=False, repr=False, compare=False)
+    _violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
+    _fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "singularities", tuple(self.singularities))
         ordered = tuple(sorted(self.basepoints, key=lambda kv: kv[0]))
         object.__setattr__(self, "basepoints", ordered)
+        # the first occurrence of a repeated id wins, as in a scan
+        object.__setattr__(self, "_components", {c.id: c for c in reversed(self.components)})
+        object.__setattr__(self, "_singularities", {s.id: s for s in reversed(self.singularities)})
+        object.__setattr__(self, "_basepoints", dict(reversed(ordered)))
+        points = frozenset((b.component, b.point) for s in self.singularities for b in s.branches)
+        object.__setattr__(self, "_branch_points", points)
+        object.__setattr__(self, "_violations", _find_violations(self))
+        object.__setattr__(self, "_fingerprint", _structure_hash(self))
 
     def component(self, component_id: str) -> Component:
-        for c in self.components:
-            if c.id == component_id:
-                return c
-        raise UnknownComponent(f"no component named {component_id!r}")
+        component = self._components.get(component_id)
+        if component is None:
+            raise UnknownComponent(f"no component named {component_id!r}")
+        return component
 
-    def singularity(self, singularity_id: str):
-        for s in self.singularities:
-            if s.id == singularity_id:
-                return s
-        raise UnknownSingularity(f"no singularity named {singularity_id!r}")
+    def singularity(self, singularity_id: str) -> Singularity:
+        singularity = self._singularities.get(singularity_id)
+        if singularity is None:
+            raise UnknownSingularity(f"no singularity named {singularity_id!r}")
+        return singularity
 
     def basepoint(self, component_id: str) -> P1Point | None:
-        for cid, point in self.basepoints:
-            if cid == component_id:
-                return point
-        return None
+        return self._basepoints.get(component_id)
 
-    def branch_points(self) -> Iterable[tuple[str, P1Point]]:
-        for s in self.singularities:
-            for b in s.branches:
-                yield (b.component, b.point)
+    def branch_points(self) -> frozenset[tuple[str, P1Point]]:
+        """Every (component id, point) that lies over a singularity."""
+        return self._branch_points
 
     def fingerprint(self) -> str:
         """Structural hash tying presentations and classes to this config."""
-        parts = []
-        for c in self.components:
-            parts.append(f"C:{c.id}:{c.genus}")
-        for s in self.singularities:
-            branches = ",".join(
-                f"{b.component}@{b.point}^{b.multiplicity}" for b in s.branches
-            )
-            parts.append(f"S:{s.id}:[{branches}]")
-        for cid, point in self.basepoints:
-            parts.append(f"B:{cid}@{point}")
-        digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-        return digest[:16]
+        return self._fingerprint
+
+
+def _structure_hash(config: CurveConfig) -> str:
+    parts = []
+    for c in config.components:
+        parts.append(f"C:{c.id}:{c.genus}")
+    for s in config.singularities:
+        branches = ",".join(
+            f"{b.component}@{b.point}^{b.multiplicity}" for b in s.branches
+        )
+        parts.append(f"S:{s.id}:[{branches}]")
+    for cid, point in config.basepoints:
+        parts.append(f"B:{cid}@{point}")
+    digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+    return digest[:16]
 
 
 def with_basepoints(config: CurveConfig, mapping: Mapping[str, P1Point]) -> CurveConfig:
@@ -164,6 +184,15 @@ class Violation:
 
 def validate(config: CurveConfig) -> list[Violation]:
     """All violations of the configuration invariants; empty means valid."""
+    return list(config._violations)
+
+
+def require_valid(config: CurveConfig) -> None:
+    if config._violations:
+        raise InvalidConfig(config._violations)
+
+
+def _find_violations(config: CurveConfig) -> tuple[Violation, ...]:
     out: list[Violation] = []
 
     seen_components: set[str] = set()
@@ -171,8 +200,6 @@ def validate(config: CurveConfig) -> list[Violation]:
         if c.id in seen_components:
             out.append(Violation(DUPLICATE_COMPONENT_ID, f"component {c.id!r} repeats"))
         seen_components.add(c.id)
-
-    genus_of = {c.id: c.genus for c in config.components}
 
     seen_sings: set[str] = set()
     seen_points: set[tuple[str, P1Point]] = set()
@@ -188,7 +215,7 @@ def validate(config: CurveConfig) -> list[Violation]:
                 )
             )
         for b in s.branches:
-            if b.component not in genus_of:
+            if b.component not in config._components:
                 out.append(
                     Violation(
                         UNKNOWN_COMPONENT,
@@ -205,7 +232,7 @@ def validate(config: CurveConfig) -> list[Violation]:
                     )
                 )
             seen_points.add(key)
-            if genus_of[b.component] > 0 and b.multiplicity > 1:
+            if config._components[b.component].genus > 0 and b.multiplicity > 1:
                 out.append(
                     Violation(
                         POSITIVE_GENUS_THICK_BRANCH,
@@ -214,13 +241,17 @@ def validate(config: CurveConfig) -> list[Violation]:
                     )
                 )
 
+    seen_bases: set[str] = set()
     for cid, point in config.basepoints:
-        if cid not in genus_of:
+        if cid in seen_bases:
+            out.append(Violation(DUPLICATE_BASEPOINT, f"basepoint of component {cid!r} repeats"))
+        seen_bases.add(cid)
+        if cid not in config._components:
             out.append(
                 Violation(UNKNOWN_COMPONENT, f"basepoint names unknown component {cid!r}")
             )
             continue
-        if (cid, point) in seen_points:
+        if (cid, point) in config._branch_points:
             out.append(
                 Violation(
                     BASEPOINT_NOT_SMOOTH,
@@ -228,13 +259,7 @@ def validate(config: CurveConfig) -> list[Violation]:
                 )
             )
 
-    return out
-
-
-def require_valid(config: CurveConfig) -> None:
-    violations = validate(config)
-    if violations:
-        raise InvalidConfig(violations)
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

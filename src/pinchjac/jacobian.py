@@ -258,11 +258,6 @@ def jac_eq(a: JacElement, b: JacElement) -> bool:
     return a.torus_coords == b.torus_coords and a.unipotent_coords == b.unipotent_coords
 
 
-def _check_presentation(config: CurveConfig, presentation: JacobianPresentation) -> None:
-    if presentation.config_fingerprint != config.fingerprint():
-        raise PresentationMismatch("presentation was computed from a different config")
-
-
 def class_reduce(
     config: CurveConfig, presentation: JacobianPresentation, vector: UnitJetVector
 ) -> JacElement:
@@ -275,14 +270,9 @@ def class_reduce(
     vectors of the form (constant per component) * (constant per singularity)
     with trivial higher jets.
     """
-    _check_presentation(config, presentation)
-    return _reduce(config, presentation, unit_jet_vector(config, vector._jets))
-
-
-def _reduce(
-    config: CurveConfig, presentation: JacobianPresentation, vector: UnitJetVector
-) -> JacElement:
-    """``class_reduce`` of a vector already checked against the presentation's config."""
+    if presentation.config_fingerprint != config.fingerprint():
+        raise PresentationMismatch("presentation was computed from a different config")
+    vector = unit_jet_vector(config, vector._jets)
     unipotent = tuple(
         unit_log(vector.jet(sing, idx)).coeffs[k]
         for sing, idx, k in presentation.unipotent_basis

@@ -24,7 +24,7 @@ from typing import Mapping, Union
 from .algebra import Jet
 from .curve_model import CurveConfig, component_partition_without, require_valid
 from .errors import InvalidProblem, SiteIsModifiable
-from .modification import ModificationSite, _reduced_bridges
+from .modification import ModificationSite, modifiable_sites
 
 CASE_NON_REDUCED_JET = "NonReducedJet"
 CASE_SAME_COMPONENT = "SameComponentTwoBranches"
@@ -160,7 +160,7 @@ def obstruction_witness(
         raise InvalidProblem(
             f"singularity {singularity_id!r} has no branch {branch_index}"
         )
-    if ModificationSite(singularity_id, branch_index) in _reduced_bridges(config, thick=False):
+    if ModificationSite(singularity_id, branch_index) in modifiable_sites(config):
         raise SiteIsModifiable(
             f"({singularity_id}, {branch_index}) is a modification site; "
             "the curve extends there instead of obstructing"
@@ -181,8 +181,8 @@ def obstruction_witness(
         distinguished if i == branch_index else Jet.constant(1, b.multiplicity)
         for i, b in enumerate(s.branches)
     )
-    partition = component_partition_without(config, singularity_id)
-    outcome = liftability_test(LiftabilityProblem(config, singularity_id, germ, partition))
+    problem = liftability_problem(config, singularity_id, dict(enumerate(germ)))
+    outcome = liftability_test(problem)
     if isinstance(outcome, Liftable):
         return NotFound(singularity_id, branch_index, outcome)
     return Witness(

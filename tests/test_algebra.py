@@ -98,10 +98,63 @@ def test_poly_shift_and_reverse():
     assert Poly((1, 2, 3)).shifted(1)(0) == Poly((1, 2, 3))(1)
 
 
+def _repeated_mul(x, n: int, one):
+    product = one
+    for _ in range(n):
+        product = product * x
+    return product
+
+
+def _mul_count(monkeypatch, cls) -> list[int]:
+    """Patch ``cls.__mul__`` to count its calls into the returned one-item list."""
+    calls = [0]
+    mul = cls.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+def _fewest_muls(n: int) -> int:
+    """Squarings plus extra products of left-to-right binary powering, n >= 1."""
+    return n.bit_length() - 1 + bin(n).count("1") - 1
+
+
 def test_poly_pow_matches_repeated_mul():
     p = Poly((1, 1))
     assert p ** 3 == p * p * p
     assert p ** 0 == Poly.one()
+    q = Poly((Fraction(-2, 3), 0, 5, Fraction(1, 7)))
+    for n in range(10):
+        assert q ** n == _repeated_mul(q, n, Poly.one())
+
+
+def test_jet_pow_matches_repeated_mul():
+    j = Jet.make(6, (Fraction(3, 2), -1, 0, Fraction(2, 5), 4))
+    one = Jet.constant(1, 6)
+    for n in range(10):
+        assert j ** n == _repeated_mul(j, n, one)
+        assert j ** -n == _repeated_mul(j.inverse(), n, one)
+    assert (j ** -3) * (j ** 3) == one
+
+
+def test_pow_multiplies_neither_by_one_nor_past_the_last_bit(monkeypatch):
+    p = Poly((1, 2, 3))
+    j = Jet.make(5, (2, 1, 0, 3))
+    poly_calls = _mul_count(monkeypatch, Poly)
+    jet_calls = _mul_count(monkeypatch, Jet)
+    for n in range(1, 10):
+        poly_calls[0] = jet_calls[0] = 0
+        p ** n
+        j ** n
+        assert poly_calls[0] == jet_calls[0] == _fewest_muls(n), n
+    poly_calls[0] = jet_calls[0] = 0
+    p ** 0
+    j ** 0
+    assert poly_calls[0] == jet_calls[0] == 0
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from pinchjac import curve_model
+from pinchjac.abel_jacobi import SmoothDivisor, aj_eval, divisor_class
 from pinchjac.algebra import INFINITY, P1Point
 from pinchjac.builders import (
     cuspidal_cubic,
@@ -15,7 +17,12 @@ from pinchjac.builders import (
 )
 from pinchjac.curve_model import (
     BASEPOINT_NOT_SMOOTH,
+    DUPLICATE_BASEPOINT,
     DUPLICATE_BRANCH_POINT,
+    DUPLICATE_COMPONENT_ID,
+    DUPLICATE_SINGULARITY_ID,
+    POSITIVE_GENUS_THICK_BRANCH,
+    UNKNOWN_COMPONENT,
     Branch,
     Component,
     CurveConfig,
@@ -28,7 +35,15 @@ from pinchjac.curve_model import (
     validate,
     with_basepoints,
 )
-from pinchjac.errors import InvalidConfig, PositiveGenusUnsupported, UnknownComponent
+from pinchjac.errors import (
+    InvalidConfig,
+    PositiveGenusUnsupported,
+    UnknownComponent,
+    UnknownSingularity,
+)
+from pinchjac.jacobian import jacobian_structure
+from pinchjac.modification import modifiable_sites
+from pinchjac.obstruction import obstruction_witness
 
 
 def _pt(v) -> P1Point:
@@ -57,6 +72,20 @@ def test_basepoint_on_branch_is_reported():
     config = with_basepoints(nodal_cubic(), {"L": _pt(0)})
     kinds = [v.kind for v in validate(config)]
     assert kinds == [BASEPOINT_NOT_SMOOTH]
+
+
+def test_two_basepoints_on_one_component_are_reported():
+    nodal = nodal_cubic()
+    config = CurveConfig(
+        nodal.name, nodal.components, nodal.singularities, (("L", INFINITY), ("L", _pt(5)))
+    )
+    assert [(v.kind, v.message) for v in validate(config)] == [
+        (DUPLICATE_BASEPOINT, "basepoint of component 'L' repeats")
+    ]
+    # the readers agree on the first basepoint, and evaluation refuses the config
+    assert config.basepoint("L") == INFINITY
+    with pytest.raises(InvalidConfig):
+        aj_eval(config, jacobian_structure(config), "L", 2)
 
 
 def test_single_reduced_branch_is_not_a_singularity():
@@ -197,3 +226,189 @@ def test_fingerprint_tracks_structure():
     assert a.fingerprint() == b.fingerprint()
     moved = with_basepoints(a, {"L": _pt(7)})
     assert moved.fingerprint() != a.fingerprint()
+
+
+# --------------------------------------------------------------------------
+# Stored facts against linear scans
+# --------------------------------------------------------------------------
+
+def _scan(items, key, wanted):
+    """The first item whose key is the wanted one, or None."""
+    for item in items:
+        if key(item) == wanted:
+            return item
+    return None
+
+
+def _scan_component(config, component_id):
+    return _scan(config.components, lambda c: c.id, component_id)
+
+
+def _scan_violations(config) -> list[tuple[str, str]]:
+    """(kind, message) of every violation, found by scanning the configuration."""
+    out = []
+    components = list(config.components)
+    for k, c in enumerate(components):
+        if _scan(components[:k], lambda d: d.id, c.id) is not None:
+            out.append((DUPLICATE_COMPONENT_ID, f"component {c.id!r} repeats"))
+    singularities = list(config.singularities)
+    points = []  # branch points on known components, in configuration order
+    for k, s in enumerate(singularities):
+        if _scan(singularities[:k], lambda t: t.id, s.id) is not None:
+            out.append((DUPLICATE_SINGULARITY_ID, f"singularity {s.id!r} repeats"))
+        total = sum(b.multiplicity for b in s.branches)
+        if total < 2:
+            out.append((TOTAL_MULTIPLICITY_TOO_LOW,
+                        f"singularity {s.id!r} has total multiplicity {total} < 2"))
+        for b in s.branches:
+            component = _scan_component(config, b.component)
+            if component is None:
+                out.append((UNKNOWN_COMPONENT,
+                            f"singularity {s.id!r} references unknown component {b.component!r}"))
+                continue
+            if (b.component, b.point) in points:
+                out.append((DUPLICATE_BRANCH_POINT,
+                            f"branch point ({b.component}, {b.point}) appears more than once"))
+            points.append((b.component, b.point))
+            if component.genus > 0 and b.multiplicity > 1:
+                out.append((POSITIVE_GENUS_THICK_BRANCH,
+                            f"component {b.component!r} has positive genus and cannot "
+                            f"carry a branch of multiplicity {b.multiplicity}"))
+    bases = list(config.basepoints)
+    for k, (cid, point) in enumerate(bases):
+        if _scan(bases[:k], lambda kv: kv[0], cid) is not None:
+            out.append((DUPLICATE_BASEPOINT, f"basepoint of component {cid!r} repeats"))
+        if _scan_component(config, cid) is None:
+            out.append((UNKNOWN_COMPONENT, f"basepoint names unknown component {cid!r}"))
+            continue
+        if (cid, point) in points:
+            out.append((BASEPOINT_NOT_SMOOTH,
+                        f"basepoint ({cid}, {point}) is a branch point of a singularity"))
+    return out
+
+
+def _scan_is_smooth_point(config, component_id, point):
+    component = _scan_component(config, component_id)
+    if component is None:
+        raise UnknownComponent(component_id)
+    if component.genus > 0:
+        raise PositiveGenusUnsupported(component_id)
+    return not any(
+        (b.component, b.point) == (component_id, point)
+        for s in config.singularities
+        for b in s.branches
+    )
+
+
+def _outcome(fn, *args):
+    """The value of a call, or the type of the library error it raised."""
+    try:
+        return ("value", fn(*args))
+    except (UnknownComponent, PositiveGenusUnsupported) as exc:
+        return ("raises", type(exc))
+
+
+def _with_repeated_ids(rng: random.Random, config: CurveConfig) -> CurveConfig:
+    """A copy with extra components, singularities and basepoints that reuse ids.
+
+    Extra components get a random genus, so one id can name components of
+    different genus; some branches and basepoints name a missing component X.
+    """
+    component_ids = [c.id for c in config.components]
+    components = list(config.components) + [
+        Component(rng.choice(component_ids), rng.choice((0, 1)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    rng.shuffle(components)
+    singularities = list(config.singularities)
+    for _ in range(rng.randint(1, 3)):
+        sid = rng.choice([s.id for s in singularities] or ["s0"])
+        branches = tuple(
+            Branch(rng.choice(component_ids + ["X"]), _pt(rng.randint(-3, 3)), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        )
+        singularities.insert(rng.randint(0, len(singularities)), Singularity(sid, branches))
+    points = [(b.component, b.point) for s in singularities for b in s.branches]
+    basepoints = list(config.basepoints)
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            basepoints.append(rng.choice(points))
+        else:
+            basepoints.append((rng.choice(component_ids + ["X"]), _pt(rng.randint(-3, 3))))
+    return CurveConfig(config.name, tuple(components), tuple(singularities), tuple(basepoints))
+
+
+def _configs_for_scans() -> list[CurveConfig]:
+    rng = random.Random(41)
+    out = []
+    for _ in range(60):
+        config = random_config(rng, with_basepoints=rng.random() < 0.5)
+        out += [config, _with_repeated_ids(rng, config)]
+    return out
+
+
+def test_stored_facts_match_linear_scans():
+    for config in _configs_for_scans():
+        assert [(v.kind, v.message) for v in validate(config)] == _scan_violations(config)
+        for cid in {c.id for c in config.components} | {"X"}:
+            expected = _scan_component(config, cid)
+            if expected is None:
+                with pytest.raises(UnknownComponent):
+                    config.component(cid)
+            else:
+                assert config.component(cid) is expected
+            base = _scan(config.basepoints, lambda kv: kv[0], cid)
+            assert config.basepoint(cid) == (None if base is None else base[1])
+            points = [p for c, p in config.branch_points() if c == cid]
+            for point in points + [INFINITY, _pt(0), _pt(1), _pt(-1), _pt(7)]:
+                assert _outcome(is_smooth_point, config, cid, point) == _outcome(
+                    _scan_is_smooth_point, config, cid, point
+                )
+        for sid in {s.id for s in config.singularities} | {"zz"}:
+            expected = _scan(config.singularities, lambda s: s.id, sid)
+            if expected is None:
+                with pytest.raises(UnknownSingularity):
+                    config.singularity(sid)
+            else:
+                assert config.singularity(sid) is expected
+
+
+def test_repeated_ids_reach_every_violation_kind():
+    kinds = {v.kind for config in _configs_for_scans() for v in validate(config)}
+    assert kinds == {
+        DUPLICATE_COMPONENT_ID, DUPLICATE_SINGULARITY_ID, TOTAL_MULTIPLICITY_TOO_LOW,
+        UNKNOWN_COMPONENT, DUPLICATE_BRANCH_POINT, POSITIVE_GENUS_THICK_BRANCH,
+        DUPLICATE_BASEPOINT, BASEPOINT_NOT_SMOOTH,
+    }
+
+
+def test_stored_facts_leave_equality_hash_and_repr_alone():
+    a, b = nodal_cubic(), nodal_cubic()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (
+        f"CurveConfig(name={a.name!r}, components={a.components!r}, "
+        f"singularities={a.singularities!r}, basepoints={a.basepoints!r})"
+    )
+
+
+def test_violations_and_fingerprint_are_computed_once_per_config(monkeypatch):
+    calls = {"_find_violations": 0, "_structure_hash": 0}
+    for name in calls:
+        compute = getattr(curve_model, name)
+
+        def counted(config, name=name, compute=compute):
+            calls[name] += 1
+            return compute(config)
+
+        monkeypatch.setattr(curve_model, name, counted)
+    config = two_nodes_pair()
+    assert calls == {"_find_violations": 1, "_structure_hash": 1}
+    presentation = jacobian_structure(config)
+    for value in (2, 3, 5):
+        aj_eval(config, presentation, "L1", value)
+        divisor_class(config, presentation, SmoothDivisor.of([("L2", value, 1), ("L2", 9, -1)]))
+    modifiable_sites(config)
+    obstruction_witness(config, "n1", 0)
+    assert validate(config) == []
+    assert config.fingerprint() == presentation.config_fingerprint
+    assert calls == {"_find_violations": 1, "_structure_hash": 1}

@@ -1,4 +1,9 @@
-"""The README's thread-safety claim: results on 4 threads equal the serial ones."""
+"""The README's thread-safety claim: results on 4 threads equal the serial ones.
+
+Each configuration carries facts computed when it was built (violations,
+fingerprint, id lookups); the threads share the configurations, and so
+those facts.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,18 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from pinchjac.builders import random_config, random_unit_jet_vector
-from pinchjac.curve_model import component_partition_without
+from pinchjac.abel_jacobi import SmoothDivisor, aj_eval, divisor_class
+from pinchjac.builders import (
+    random_config,
+    random_modifiable_config,
+    random_rational_aj_config,
+    random_unit_jet_vector,
+)
+from pinchjac.curve_model import component_partition_without, smooth_sample
+from pinchjac.errors import PinchjacError
 from pinchjac.jacobian import class_reduce, jacobian_structure
-from pinchjac.modification import modifiable_sites
+from pinchjac.modification import modifiable_sites, modify
+from pinchjac.obstruction import obstruction_witness
 
 
 def _inputs():
@@ -32,15 +45,51 @@ def _graph_work(item):
     )
 
 
-def test_graph_layer_results_match_serial_on_four_threads():
-    inputs = _inputs()
-    serial = [_graph_work(item) for item in inputs]
+def _on_four_threads(work, inputs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so that shared state would show
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             # every config runs on several threads at once
-            threaded = list(pool.map(_graph_work, inputs * 4))
+            return list(pool.map(work, inputs * 4))
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial * 4
+
+
+def test_graph_layer_results_match_serial_on_four_threads():
+    inputs = _inputs()
+    serial = [_graph_work(item) for item in inputs]
+    assert _on_four_threads(_graph_work, inputs) == serial * 4
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except PinchjacError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _entry_point_work(config):
+    presentation = jacobian_structure(config)
+    out = []
+    # the rational configs carry basepoints; the modifiable ones may have genus
+    for component in config.components if config.basepoints else ():
+        p, q = smooth_sample(config, component.id, 2)
+        out.append(aj_eval(config, presentation, component.id, p))
+        divisor = SmoothDivisor.of([(component.id, p, 1), (component.id, q, -1)])
+        out.append(divisor_class(config, presentation, divisor))
+    for site in modifiable_sites(config):
+        out.append(modify(config, site))
+    for s in config.singularities:
+        for i in range(len(s.branches)):
+            out.append(_outcome(obstruction_witness, config, s.id, i))
+    return out
+
+
+def test_entry_points_match_serial_on_four_threads():
+    rng = random.Random(90)
+    configs = [random_rational_aj_config(rng) for _ in range(12)]
+    configs += [random_modifiable_config(rng) for _ in range(6)]
+    serial = [_entry_point_work(config) for config in configs]
+    assert _on_four_threads(_entry_point_work, configs) == serial * 4
