@@ -59,6 +59,7 @@ from .jacobian import (
     JacobianPresentation,
     LocalUnitQuotient,
     UnitJetVector,
+    branch_class,
     change_of_basis,
     class_reduce,
     jac_add,

@@ -2,10 +2,15 @@
 
 A smooth divisor of per-component degree zero determines, on each projective
 line, a rational function with that divisor, unique up to a scalar: the
-degree-balanced product of linear factors at the finite points (the point at
-infinity never gets an explicit factor). The class of the divisor is the
-reduction of the vector of jets of that function at all branches; the scalar
-ambiguity lies in the reduction kernel, so the class is well defined.
+product of (t - a)^k over its finite points (the point at infinity never gets
+an explicit factor). Its class is read off in closed form. Near a branch over
+c, with local parameter s, each factor t - a is a constant times 1 - u s,
+where u = 1/(a - c) over a finite c and u = a over infinity. So the branch
+value is the product of (c - a)^k (1 over infinity, where the powers of s
+cancel because the degree is zero), and the s^n log coefficient is
+-(1/n) sum k u^n. Only branches on the divisor's own components get entries;
+``branch_class`` normalizes them. The scalar ambiguity lies in the reduction
+kernel, so the class is well defined.
 
 The module also carries the two standard cubic parametrizations and an exact
 collision probe for Abel-Jacobi maps over finite samples.
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Jet, P1Point, Poly, RatLike
+from .algebra import P1Point, Poly, RatLike
 from .curve_model import CurveConfig, is_smooth_point, require_valid
 from .errors import (
     MissingBasepoint,
@@ -25,7 +30,7 @@ from .errors import (
     PositiveGenusUnsupported,
     SingularPoint,
 )
-from .jacobian import JacElement, JacobianPresentation, UnitJetVector, class_reduce, jac_eq
+from .jacobian import JacElement, JacobianPresentation, branch_class, jac_eq
 
 
 @dataclass(frozen=True)
@@ -63,24 +68,23 @@ def _require_genus_zero(config: CurveConfig) -> None:
             raise PositiveGenusUnsupported(f"component {c.id!r} has genus {c.genus}")
 
 
-def _branch_jet(points: list[tuple[P1Point, int]], center: P1Point, order: int) -> Jet:
-    """Jet at the center of the product of (t - a)^k over the points.
-
-    It is the product of the factors' jets (u + v s)^k, which are
-    u^k * sum_j binomial(k, j) (v s / u)^j for k of either sign. The factor
-    u + v s is (c - a) + s at a finite center c, and 1 - a s at infinity (the
-    powers of s cancel, the degree being zero). Points at infinity get none.
-    """
-    jet = Jet.constant(1, order)
+def _branch_log(
+    points: list[tuple[P1Point, int]], center: P1Point, order: int
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Value at the center of the product of (t - a)^k over the points, and the
+    coefficients of s^0, ..., s^(order - 1) in the log of its normalized jet."""
+    value = Fraction(1)
+    weights = []
     for point, k in points:
         if not point.is_infinity:
             a = point.value
-            u, v = (Fraction(1), -a) if center.is_infinity else (center.value - a, Fraction(1))
-            coeffs = [u**k]
-            for j in range(order - 1):
-                coeffs.append(coeffs[-1] * v * (k - j) / (u * (j + 1)))
-            jet = jet * Jet(order, tuple(coeffs))
-    return jet
+            if center.is_infinity:
+                weights.append((k, a))
+            else:
+                value *= (center.value - a) ** k
+                weights.append((k, 1 / (a - center.value)))
+    logs = tuple(Fraction(-sum(k * u**n for k, u in weights), n) for n in range(1, order))
+    return value, (Fraction(0),) + logs
 
 
 def _class(
@@ -89,12 +93,15 @@ def _class(
     support: dict[str, list[tuple[P1Point, int]]],
 ) -> JacElement:
     """Class of a checked divisor: its points with nonzero coefficient per component."""
-    jets = tuple(
-        (s.id, i, _branch_jet(support.get(b.component, []), b.point, b.multiplicity))
-        for s in config.singularities
-        for i, b in enumerate(s.branches)
-    )
-    return class_reduce(config, presentation, UnitJetVector(jets))
+    values = {}
+    unipotent = {}
+    for s in config.singularities:
+        for i, b in enumerate(s.branches):
+            points = support.get(b.component)
+            if points:
+                values[(s.id, i)], logs = _branch_log(points, b.point, b.multiplicity)
+                unipotent.update(((s.id, i, n), logs[n]) for n in range(1, b.multiplicity))
+    return branch_class(config, presentation, values, unipotent)
 
 
 def divisor_class(

@@ -11,77 +11,44 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 from .algebra import INFINITY, Jet, P1Point
 from .curve_model import Branch, Component, CurveConfig, Singularity, validate
+from .dsl import parse_curve_dsl
 from .jacobian import UnitJetVector, unit_jet_vector
 from .modification import modifiable_sites
 
 
+def load_fixture(name: str) -> CurveConfig:
+    """Parse one of the shipped .curve fixture files."""
+    path = resources.files("pinchjac").joinpath("fixtures", f"{name}.curve")
+    return parse_curve_dsl(path.read_text(encoding="utf-8")).config
+
+
 def nodal_cubic() -> CurveConfig:
     """One projective line with the points 0 and 1 glued to a node."""
-    return CurveConfig(
-        name="nodal",
-        components=(Component("L"),),
-        singularities=(
-            Singularity("n", (Branch("L", P1Point.finite(0)), Branch("L", P1Point.finite(1)))),
-        ),
-        basepoints=(("L", INFINITY),),
-    )
+    return load_fixture("nodal")
 
 
 def cuspidal_cubic() -> CurveConfig:
     """One projective line with a doubled point at 0 contracted to a cusp."""
-    return CurveConfig(
-        name="cuspidal",
-        components=(Component("L"),),
-        singularities=(Singularity("s", (Branch("L", P1Point.finite(0), 2),)),),
-        basepoints=(("L", INFINITY),),
-    )
+    return load_fixture("cuspidal")
 
 
 def two_nodes_pair() -> CurveConfig:
     """Two projective lines meeting at two nodes (Jacobian a one-dimensional torus)."""
-    return CurveConfig(
-        name="lut",
-        components=(Component("L1"), Component("L2")),
-        singularities=(
-            Singularity(
-                "n1", (Branch("L1", P1Point.finite(0)), Branch("L2", P1Point.finite(0)))
-            ),
-            Singularity(
-                "n2", (Branch("L1", P1Point.finite(1)), Branch("L2", P1Point.finite(1)))
-            ),
-        ),
-        basepoints=(("L1", INFINITY), ("L2", INFINITY)),
-    )
+    return load_fixture("lut")
 
 
 def two_lines() -> CurveConfig:
     """Two projective lines meeting at a single node (trivial Jacobian)."""
-    return CurveConfig(
-        name="two_lines",
-        components=(Component("L1"), Component("L2")),
-        singularities=(
-            Singularity(
-                "n", (Branch("L1", P1Point.finite(0)), Branch("L2", P1Point.finite(0)))
-            ),
-        ),
-        basepoints=(("L1", INFINITY), ("L2", INFINITY)),
-    )
+    return load_fixture("two_lines")
 
 
 def elliptic_pair() -> CurveConfig:
     """Two genus-1 components meeting at a node; only the ranks matter."""
-    return CurveConfig(
-        name="elliptic_pair",
-        components=(Component("E1", genus=1), Component("E2", genus=1)),
-        singularities=(
-            Singularity(
-                "n", (Branch("E1", P1Point.finite(0)), Branch("E2", P1Point.finite(0)))
-            ),
-        ),
-    )
+    return load_fixture("elliptic_pair")
 
 
 # --------------------------------------------------------------------------
@@ -170,9 +137,9 @@ def random_config(
     return config
 
 
-def random_modifiable_config(rng: random.Random, max_tries: int = 200) -> CurveConfig:
+def random_modifiable_config(rng: random.Random) -> CurveConfig:
     """A random all-reduced configuration with at least one modification site."""
-    for _ in range(max_tries):
+    for _ in range(200):
         config = random_config(
             rng,
             max_components=5,

@@ -95,7 +95,7 @@ def _parse_subscheme(text: str):
         point_text, _, mult_text = chunk.partition(":")
         point = _parse_point_arg(point_text.strip())
         mult_text = mult_text.strip() or "1"
-        if not mult_text.isdigit() or int(mult_text) < 1:
+        if not mult_text.isdecimal() or int(mult_text) < 1:
             raise _CliUsage(f"not a positive multiplicity: {mult_text!r}")
         pairs.append((point, int(mult_text)))
     if not pairs:

@@ -208,13 +208,13 @@ def subalgebra_membership(f: Poly, g: Poly) -> Union[MembershipCertificate, NotM
 # Contraction of subschemes of the projective line
 # --------------------------------------------------------------------------
 
-def contract_p1(z: FiniteSubscheme, name: str = "contracted") -> CurveConfig:
+def contract_p1(z: FiniteSubscheme) -> CurveConfig:
     """One projective line pinched along z: the curve obtained by contraction."""
     if z.degree < 2:
         raise DegreeOne("contracting a single reduced point is an isomorphism")
     branches = tuple(Branch("L", point, mult) for point, mult in z.points)
     return CurveConfig(
-        name=name,
+        name="contracted",
         components=(Component("L", genus=0),),
         singularities=(Singularity("s", branches),),
     )
@@ -228,9 +228,7 @@ class ContractionResult:
     coordinate_change: str | None
 
 
-def contract_with_generators(
-    z: FiniteSubscheme, hilbert_checked_to: int | None = None
-) -> ContractionResult:
+def contract_with_generators(z: FiniteSubscheme) -> ContractionResult:
     """Contraction datum plus subalgebra generators.
 
     A subscheme meeting infinity is first moved into the affine line by the
@@ -254,5 +252,5 @@ def contract_with_generators(
         affine = FiniteSubscheme(tuple(moved))
         change = f"s = 1/(t - {b})" if b != 0 else "s = 1/t"
     generator = vanishing_ideal_generator(affine)
-    generators = contraction_generators(generator, hilbert_checked_to)
+    generators = contraction_generators(generator)
     return ContractionResult(config, generators, generator, change)

@@ -141,7 +141,7 @@ class _LineParser:
 
     def expect_int(self, what: str, minimum: int) -> int | None:
         token = self.take()
-        if token is None or not token.text.isdigit() or int(token.text) < minimum:
+        if token is None or not token.text.isdecimal() or int(token.text) < minimum:
             self.fail(f"expected {what}", token)
             return None
         return int(token.text)

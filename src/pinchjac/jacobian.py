@@ -13,7 +13,8 @@ A degree-zero class is represented by a unit jet at every branch (the value
 of a rational function along the fibers of the normalization). ``class_reduce``
 maps such a vector to canonical coordinates: unipotent coordinates are log
 coefficients, and torus coordinates are branch values after the unique
-vertex-scalar normalization that makes every spanning-forest edge value 1.
+vertex-scalar normalization that makes every spanning-forest edge value 1
+(``branch_class``, which also serves classes given by branch values directly).
 Within a singularity this reduces to the ratio convention value(b_i)/value(b_0)
 against the first-listed branch.
 """
@@ -258,41 +259,60 @@ def jac_eq(a: JacElement, b: JacElement) -> bool:
     return a.torus_coords == b.torus_coords and a.unipotent_coords == b.unipotent_coords
 
 
+def branch_class(
+    config: CurveConfig,
+    presentation: JacobianPresentation,
+    values: Mapping[Edge, Fraction],
+    unipotent: Mapping[tuple[str, int, int], Fraction],
+) -> JacElement:
+    """Canonical coordinates of the class with the given branch values and
+    unipotent coordinates.
+
+    A branch missing from ``values`` has value 1, and a unipotent basis
+    element missing from ``unipotent`` has coordinate 0. One scalar per
+    dual-graph vertex is solved for so that every spanning-forest edge value
+    becomes 1; the torus coordinates are the normalized values at the
+    remaining edges.
+    """
+    if presentation.config_fingerprint != config.fingerprint():
+        raise PresentationMismatch("presentation was computed from a different config")
+    ends = branch_edges(config)
+    # Any root works: rescaling a tree's root multiplies the scalars of one
+    # side of the bipartite tree by a constant and the other side by its
+    # inverse, which leaves every product scalar[C] * scalar[S] unchanged.
+    scalar: dict[Vertex, Fraction] = {}
+    for v, (p, edge) in forest_parents(ends, presentation.spanning_forest).items():
+        scalar[v] = Fraction(1) if p is None else 1 / (values.get(edge, 1) * scalar[p])
+
+    torus = tuple(
+        values.get(edge, 1) * scalar[ends[edge][0]] * scalar[ends[edge][1]]
+        for edge in presentation.torus_basis
+    )
+    coords = tuple(unipotent.get(key, 0) for key in presentation.unipotent_basis)
+    return JacElement(presentation.config_fingerprint, torus, coords)
+
+
 def class_reduce(
     config: CurveConfig, presentation: JacobianPresentation, vector: UnitJetVector
 ) -> JacElement:
     """Canonical coordinates of the class represented by a unit-jet vector.
 
     Unipotent coordinates are the truncated-log coefficients of the branch
-    jets. For the torus part, one scalar per dual-graph vertex is solved for
-    so that every spanning-forest edge value becomes 1; the coordinates are
-    the normalized values at the remaining edges. The kernel is exactly the
-    vectors of the form (constant per component) * (constant per singularity)
-    with trivial higher jets.
+    jets, and the branch values are the jets' constant terms; ``branch_class``
+    normalizes them. The kernel is exactly the vectors of the form
+    (constant per component) * (constant per singularity) with trivial higher
+    jets.
     """
+    # checked before the presentation's unipotent basis indexes the jets
     if presentation.config_fingerprint != config.fingerprint():
         raise PresentationMismatch("presentation was computed from a different config")
     vector = unit_jet_vector(config, vector._jets)
-    unipotent = tuple(
-        unit_log(vector.jet(sing, idx)).coeffs[k]
+    unipotent = {
+        (sing, idx, k): unit_log(vector.jet(sing, idx)).coeffs[k]
         for sing, idx, k in presentation.unipotent_basis
-    )
-
-    ends = branch_edges(config)
-    values = {edge: vector.jet(*edge).constant_term for edge in ends}
-
-    # Any root works: rescaling a tree's root multiplies the scalars of one
-    # side of the bipartite tree by a constant and the other side by its
-    # inverse, which leaves every product scalar[C] * scalar[S] unchanged.
-    scalar: dict[Vertex, Fraction] = {}
-    for v, (p, edge) in forest_parents(ends, presentation.spanning_forest).items():
-        scalar[v] = Fraction(1) if p is None else 1 / (values[edge] * scalar[p])
-
-    torus = tuple(
-        values[edge] * scalar[ends[edge][0]] * scalar[ends[edge][1]]
-        for edge in presentation.torus_basis
-    )
-    return JacElement(presentation.config_fingerprint, torus, unipotent)
+    }
+    values = {(sing, idx): jet.constant_term for sing, idx, jet in vector.entries}
+    return branch_class(config, presentation, values, unipotent)
 
 
 # --------------------------------------------------------------------------

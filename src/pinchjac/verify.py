@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .abel_jacobi import (
     CUSPIDAL_X,
@@ -30,6 +29,7 @@ from .abel_jacobi import (
 )
 from .algebra import Jet, P1Point, Poly
 from .builders import (
+    load_fixture,
     random_config,
     random_modifiable_config,
     random_rational_aj_config,
@@ -43,7 +43,6 @@ from .contraction import (
     vanishing_ideal_generator,
 )
 from .curve_model import CurveConfig, dual_graph, smooth_sample
-from .dsl import parse_curve_dsl
 from .jacobian import class_reduce, constant_vector, jac_add, jac_eq, jacobian_structure
 from .modification import modifiable_sites, modify
 from .obstruction import (
@@ -62,12 +61,6 @@ class CheckResult:
     name: str
     passed: bool
     details: str
-
-
-def load_fixture(name: str) -> CurveConfig:
-    """Parse one of the shipped .curve fixture files."""
-    path = resources.files("pinchjac").joinpath("fixtures", f"{name}.curve")
-    return parse_curve_dsl(path.read_text(encoding="utf-8")).config
 
 
 # --------------------------------------------------------------------------

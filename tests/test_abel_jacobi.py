@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pinchjac import algebra, jacobian
 from pinchjac.abel_jacobi import (
     CUSPIDAL_X,
     CUSPIDAL_Y,
     NODAL_X,
     NODAL_Y,
     SmoothDivisor,
-    _branch_jet,
+    _branch_log,
     aj_eval,
     aj_injectivity_probe,
     cuspidal_param,
@@ -19,7 +22,7 @@ from pinchjac.abel_jacobi import (
     nodal_param,
     param_inverse,
 )
-from pinchjac.algebra import INFINITY, P1Point, jet_of_rational_function, Poly
+from pinchjac.algebra import INFINITY, P1Point, jet_of_rational_function, Poly, unit_log
 from pinchjac.builders import (
     cuspidal_cubic,
     elliptic_pair,
@@ -353,7 +356,54 @@ def test_linear_factor_jets_match_the_rational_function(order):
         points = _random_support(rng, center)
         numerator, denominator = _product_function(points)
         expected = jet_of_rational_function(numerator, denominator, center, order)
-        assert _branch_jet(points, center, order) == expected
+        value, logs = _branch_log(points, center, order)
+        assert value == expected.constant_term
+        assert logs == unit_log(expected).coeffs
+
+
+def test_log_coefficients_match_a_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_log
+    from sympy.polys.rings import ring
+
+    ring_, x = ring("s", sympy.QQ)
+    s = sympy.Symbol("s")
+
+    def rational(v: Fraction):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    rng = random.Random(11)
+    for _ in range(25):
+        center = INFINITY if rng.random() < 0.4 else _pt(Fraction(rng.randint(-9, 9), 3))
+        points = _random_support(rng, center)
+        order = rng.randint(2, 8)
+        t = 1 / s if center.is_infinity else rational(center.value) + s
+        f = sympy.cancel(sympy.Mul(*(
+            (t - rational(p.value)) ** k for p, k in points if not p.is_infinity
+        )))
+        numerator, denominator = (ring_(part) for part in sympy.fraction(f))
+        n0, d0 = numerator.coeff(1), denominator.coeff(1)
+        series = rs_log(numerator * (1 / n0), x, order) - rs_log(denominator * (1 / d0), x, order)
+        value, logs = _branch_log(points, center, order)
+        assert sympy.QQ.to_sympy(n0 / d0) == rational(value)
+        assert [sympy.QQ.to_sympy(series.coeff(x**n)) for n in range(order)] == [
+            rational(c) for c in logs
+        ]
+
+
+def _function_vector(config: CurveConfig, divisor: SmoothDivisor):
+    """The jets at every branch of the divisor's rational function, per component."""
+    support: dict[str, list] = {}
+    for component_id, point, k in divisor.entries:
+        support.setdefault(component_id, []).append((point, k))
+    jets = {}
+    for s in config.singularities:
+        for i, b in enumerate(s.branches):
+            numerator, denominator = _product_function(support.get(b.component, []))
+            jets[(s.id, i)] = jet_of_rational_function(
+                numerator, denominator, b.point, b.multiplicity
+            )
+    return unit_jet_vector(config, jets)
 
 
 def test_divisor_class_matches_the_rational_function_path():
@@ -362,15 +412,60 @@ def test_divisor_class_matches_the_rational_function_path():
         config = random_rational_aj_config(rng)
         presentation = jacobian_structure(config)
         divisor = _random_degree_zero_divisor(rng, config)
-        support: dict[str, list] = {}
-        for component_id, point, k in divisor.entries:
-            support.setdefault(component_id, []).append((point, k))
-        jets = {}
-        for s in config.singularities:
-            for i, b in enumerate(s.branches):
-                numerator, denominator = _product_function(support.get(b.component, []))
-                jets[(s.id, i)] = jet_of_rational_function(
-                    numerator, denominator, b.point, b.multiplicity
-                )
-        expected = class_reduce(config, presentation, unit_jet_vector(config, jets))
+        expected = class_reduce(config, presentation, _function_vector(config, divisor))
         assert divisor_class(config, presentation, divisor) == expected
+
+
+_POOL = (INFINITY,) + tuple(_pt(v) for v in (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)))
+
+
+@st.composite
+def _config_and_divisor(draw):
+    """Up to three lines, branches of multiplicity up to 4 grouped into up to three
+    singularities, and a degree-zero divisor on the remaining points; the point at
+    infinity can be a branch center or a divisor point."""
+    n = draw(st.integers(1, 3))
+    branches, entries = [], []
+    for c in range(n):
+        points = draw(st.permutations(_POOL))
+        n_branches = draw(st.integers(0, 3))
+        for point in points[:n_branches]:
+            branches.append(Branch(f"L{c}", point, draw(st.integers(1, 4))))
+        smooth = points[n_branches:n_branches + draw(st.integers(0, 4))]
+        coefficients = [draw(st.integers(-3, 3)) for _ in smooth]
+        if smooth:
+            coefficients[-1] -= sum(coefficients)
+        entries += [(f"L{c}", p, k) for p, k in zip(smooth, coefficients)]
+    groups = draw(st.lists(st.integers(0, 2), min_size=len(branches), max_size=len(branches)))
+    singularities = []
+    for g in sorted(set(groups)):
+        members = [b for b, h in zip(branches, groups) if h == g]
+        if sum(b.multiplicity for b in members) < 2:
+            members[0] = Branch(members[0].component, members[0].point, 2)
+        singularities.append(Singularity(f"s{g}", tuple(members)))
+    config = CurveConfig("h", tuple(Component(f"L{c}") for c in range(n)), tuple(singularities))
+    return config, SmoothDivisor.of(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_and_divisor())
+def test_divisor_class_matches_class_reduce_of_the_function_jets(case):
+    config, divisor = case
+    presentation = jacobian_structure(config)
+    expected = class_reduce(config, presentation, _function_vector(config, divisor))
+    assert divisor_class(config, presentation, divisor) == expected
+
+
+def test_aj_path_takes_no_log(monkeypatch):
+    def refuse(jet):
+        raise AssertionError("unit_log called")
+
+    monkeypatch.setattr(algebra, "unit_log", refuse)
+    monkeypatch.setattr(jacobian, "unit_log", refuse)
+    config = cuspidal_cubic()
+    presentation = jacobian_structure(config)
+    assert aj_eval(config, presentation, "L", 3).unipotent_coords == (Fraction(-1, 3),)
+    divisor = SmoothDivisor.of([("L", 2, 1), ("L", 3, -1)])
+    assert divisor_class(config, presentation, divisor).unipotent_coords == (Fraction(-1, 6),)
+    with pytest.raises(AssertionError, match="unit_log called"):
+        class_reduce(config, presentation, _function_vector(config, divisor))

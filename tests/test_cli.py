@@ -167,6 +167,10 @@ def test_contract_command(capsys):
     code, _, _ = _run(capsys, ["contract", "--points", "bogus"])
     assert code == 2
 
+    code, _, err = _run(capsys, ["contract", "--points=0:\u00b2"])
+    assert code == 2
+    assert "not a positive multiplicity" in err
+
 
 def test_witness_command(capsys, curves):
     code, out, _ = _run(capsys, ["witness", curves["lut"], "--sing", "n1", "--branch", "0"])

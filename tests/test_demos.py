@@ -1,7 +1,8 @@
-"""Every script in demos/ runs to completion as the README says it does."""
+"""Every script in demos/, and the README's library tour, runs as the README says."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +33,12 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_tour_ends_true():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = ast.parse(tour).body
+    namespace: dict = {}
+    exec(compile(ast.Module(body, type_ignores=[]), "README.md", "exec"), namespace)
+    assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) is True

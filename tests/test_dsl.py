@@ -98,6 +98,22 @@ def test_diagnostics_carry_positions():
     assert diag.column == 19
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("curve c\ncomponent L genus \u00b2\n", 2, 19),
+        ("curve c\ncomponent L\nsing s pinch (L at 0 mult \u00b2)\n", 3, 27),
+    ],
+    ids=["genus", "mult"],
+)
+def test_superscript_digits_are_diagnosed(text, line, column):
+    # "\u00b2".isdigit() holds, but int() refuses it
+    with pytest.raises(DslParseError) as err:
+        parse_curve_dsl(text)
+    diag = err.value.diagnostics[0]
+    assert (diag.line, diag.column, diag.token) == (line, column, "\u00b2")
+
+
 def test_missing_curve_line():
     with pytest.raises(DslParseError) as err:
         parse_curve_dsl("component L\n")
@@ -137,7 +153,7 @@ def test_print_round_trip_on_random_configs():
 
 def test_fuzz_inputs_never_crash():
     rng = random.Random(103)
-    alphabet = string.printable
+    alphabet = string.printable + "\u00b2\u00bd\u0661"  # superscript two, one half, Arabic-Indic one
     seeds = [NODAL_TEXT, LUT_TEXT, "curve c\ncomponent L\n"]
     for trial in range(300):
         if trial % 3 == 0:
