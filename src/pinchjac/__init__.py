@@ -59,7 +59,6 @@ from .jacobian import (
     JacobianPresentation,
     LocalUnitQuotient,
     UnitJetVector,
-    branch_class,
     change_of_basis,
     class_reduce,
     jac_add,

@@ -14,6 +14,7 @@ from pinchjac.builders import (
     two_lines,
     two_nodes_pair,
 )
+from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity
 from pinchjac.dsl import (
     DslParseError,
     parse_curve_dsl,
@@ -37,26 +38,85 @@ base L2 at inf
 """
 
 
+def _node(sing, first, second):
+    return Singularity(sing, (Branch(first, P1Point.finite(0)), Branch(second, P1Point.finite(0))))
+
+
+# The standard curves built by hand, independently of the parser and of the
+# shipped fixtures the builders read.
+NODAL = CurveConfig(
+    name="nodal",
+    components=(Component("L"),),
+    singularities=(
+        Singularity("n", (Branch("L", P1Point.finite(0)), Branch("L", P1Point.finite(1)))),
+    ),
+    basepoints=(("L", INFINITY),),
+)
+CUSPIDAL = CurveConfig(
+    name="cuspidal",
+    components=(Component("L"),),
+    singularities=(Singularity("s", (Branch("L", P1Point.finite(0), 2),)),),
+    basepoints=(("L", INFINITY),),
+)
+LUT = CurveConfig(
+    name="lut",
+    components=(Component("L1"), Component("L2")),
+    singularities=(
+        _node("n1", "L1", "L2"),
+        Singularity("n2", (Branch("L1", P1Point.finite(1)), Branch("L2", P1Point.finite(1)))),
+    ),
+    basepoints=(("L1", INFINITY), ("L2", INFINITY)),
+)
+TWO_LINES = CurveConfig(
+    name="two_lines",
+    components=(Component("L1"), Component("L2")),
+    singularities=(_node("n", "L1", "L2"),),
+    basepoints=(("L1", INFINITY), ("L2", INFINITY)),
+)
+ELLIPTIC_PAIR = CurveConfig(
+    name="elliptic_pair",
+    components=(Component("E1", genus=1), Component("E2", genus=1)),
+    singularities=(_node("n", "E1", "E2"),),
+)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (nodal_cubic, NODAL),
+        (cuspidal_cubic, CUSPIDAL),
+        (two_nodes_pair, LUT),
+        (two_lines, TWO_LINES),
+        (elliptic_pair, ELLIPTIC_PAIR),
+    ],
+    ids=["nodal", "cuspidal", "lut", "two_lines", "elliptic_pair"],
+)
+def test_builders_match_hand_built_configs(build, expected):
+    config = build()
+    assert config == expected
+    assert config.fingerprint() == expected.fingerprint()
+
+
 def test_parse_nodal():
     doc = parse_curve_dsl(NODAL_TEXT)
-    assert doc.config == nodal_cubic()
+    assert doc.config == NODAL
     assert doc.line_of("sing:n") == 3
 
 
 def test_parse_lut():
     doc = parse_curve_dsl(LUT_TEXT)
-    assert doc.config == two_nodes_pair()
+    assert doc.config == LUT
 
 
 def test_parse_cusp_and_pinch_sugar():
     doc = parse_curve_dsl(
         "curve cuspidal\ncomponent L\nsing s cusp (L at 0)\nbase L at inf\n"
     )
-    assert doc.config == cuspidal_cubic()
+    assert doc.config == CUSPIDAL
     pinch = parse_curve_dsl(
         "curve cuspidal\ncomponent L\nsing s pinch (L at 0 mult 2)\nbase L at inf\n"
     )
-    assert pinch.config == cuspidal_cubic()
+    assert pinch.config == CUSPIDAL
 
 
 def test_parse_points():
@@ -78,7 +138,7 @@ def test_comments_and_blank_lines():
 
 def test_crlf_line_endings():
     doc = parse_curve_dsl(NODAL_TEXT.replace("\n", "\r\n"))
-    assert doc.config == nodal_cubic()
+    assert doc.config == NODAL
 
 
 def test_node_arity_diagnostic():
