@@ -11,9 +11,7 @@ import argparse
 import json
 import sys
 
-from .abel_jacobi import aj_eval, aj_injectivity_probe
 from .algebra import P1Point, rational_str
-from .contraction import contract_with_generators, finite_subscheme
 from .curve_model import CurveConfig, require_valid, smooth_sample
 from .dsl import DslParseError, parse_curve_dsl, parse_point, print_curve_dsl
 from .errors import (
@@ -24,9 +22,6 @@ from .errors import (
     UnknownSingularity,
 )
 from .jacobian import jacobian_structure
-from .modification import ModificationSite, indeterminate_sites, modifiable_sites, modify
-from .obstruction import NotFound, obstruction_witness
-from .verify import run_all
 
 _USAGE_ERRORS = (MissingBasepoint, UnknownComponent, UnknownSingularity)
 
@@ -65,7 +60,7 @@ def _load_config(path: str) -> CurveConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliUsage(f"cannot read {path}: {exc}") from exc
     doc = parse_curve_dsl(text)
     require_valid(doc.config)
@@ -87,6 +82,8 @@ def _parse_component_point(text: str) -> tuple[str, P1Point]:
 
 
 def _parse_subscheme(text: str):
+    from .contraction import finite_subscheme
+
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -117,6 +114,8 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_aj(args) -> int:
+    from .abel_jacobi import aj_eval
+
     config = _load_config(args.file)
     component, point = _parse_component_point(args.point)
     presentation = jacobian_structure(config)
@@ -126,6 +125,8 @@ def _cmd_aj(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .abel_jacobi import aj_injectivity_probe
+
     if args.samples < 1:
         raise _CliUsage(f"--samples must be at least 1, got {args.samples}")
     config = _load_config(args.file)
@@ -149,6 +150,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_modifiable(args) -> int:
+    from .modification import indeterminate_sites, modifiable_sites
+
     config = _load_config(args.file)
     sites = modifiable_sites(config)
     undecided = indeterminate_sites(config)
@@ -165,17 +168,24 @@ def _cmd_modifiable(args) -> int:
 
 
 def _cmd_modify(args) -> int:
+    from .modification import ModificationSite, modify
+
     config = _load_config(args.file)
     site = ModificationSite(args.sing, args.branch)
     modified = modify(config, site)
     text = print_curve_dsl(modified)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _CliUsage(f"cannot write {args.output}: {exc}") from exc
     _emit({"output": args.output, "config": _config_json(modified)})
     return 0
 
 
 def _cmd_contract(args) -> int:
+    from .contraction import contract_with_generators
+
     z = _parse_subscheme(args.points)
     result = contract_with_generators(z)
     _emit(
@@ -193,6 +203,8 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .obstruction import NotFound, obstruction_witness
+
     config = _load_config(args.file)
     outcome = obstruction_witness(config, args.sing, args.branch)
     if isinstance(outcome, NotFound):
@@ -233,6 +245,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(seed=args.seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -224,6 +224,24 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.curve"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, ["jacobian", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("target", ["missing/x.curve", "."], ids=["missing-dir", "a-directory"])
+def test_modify_to_unwritable_output_exits_two(capsys, curves, tmp_path, target):
+    output = str(tmp_path / target)
+    code, out, err = _run(
+        capsys, ["modify", curves["two_lines"], "--sing", "n", "--branch", "0", "-o", output]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {output}: ")
+
+
 def test_verify_command(capsys):
     code, out, err = _run(capsys, ["verify", "--seed", "0"])
     assert code == 0

@@ -52,3 +52,13 @@ def test_cli_stdout_matches_recording(capsys, name, argv):
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+# The tests above call main() after pytest has imported the whole package;
+# these run the real entry point in a new interpreter, which loads only what
+# the command imports.
+@pytest.mark.parametrize("name", ["jacobian_lut", "aj_nodal", "contract_e4"])
+def test_entry_point_in_a_fresh_interpreter_matches_recording(fresh_python, name):
+    done = fresh_python("-m", "pinchjac.cli", *dict(CASES)[name])
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")

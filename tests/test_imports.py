@@ -1,13 +1,21 @@
-"""No pinchjac module imports another module's private (underscore) names.
+"""What pinchjac imports, and when.
 
-A helper that one module needs from another is public API there, or it
-stays in its own module.
+No module imports another module's private (underscore) names: a helper that
+one module needs from another is public API there, or it stays in its own
+module. The package resolves its exported names on first use, and the CLI
+loads only the modules a command runs.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 from pathlib import Path
+
+import pytest
+
+import pinchjac
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pinchjac"
 
@@ -34,3 +42,77 @@ def test_no_module_imports_a_private_name_from_another():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [line for path in modules for line in _private_imports(path)] == []
+
+
+# the names `import pinchjac` exported when it imported every submodule eagerly
+EXPORTS = {
+    "algebra": ["INFINITY", "FieldElem", "Jet", "P1Point", "Poly", "jet_of_rational_function",
+                "unit_exp", "unit_log"],
+    "abel_jacobi": ["SmoothDivisor", "aj_eval", "aj_injectivity_probe", "cuspidal_param",
+                    "divisor_class", "nodal_param", "param_inverse"],
+    "contraction": ["ContractionResult", "FiniteSubscheme", "GeneratorSet",
+                    "MembershipCertificate", "NotMember", "contract_p1",
+                    "contract_with_generators", "contraction_generators", "finite_subscheme",
+                    "subalgebra_membership", "vanishing_ideal_generator"],
+    "curve_model": ["Branch", "Component", "CurveConfig", "DualGraph", "Singularity",
+                    "Violation", "dual_graph", "is_smooth_point", "validate", "with_basepoints"],
+    "dsl": ["CurveDoc", "Diagnostic", "DslParseError", "parse_curve_dsl", "print_curve_dsl"],
+    "jacobian": ["JacElement", "JacobianPresentation", "LocalUnitQuotient", "UnitJetVector",
+                 "change_of_basis", "class_reduce", "jac_add", "jac_eq", "jac_neg", "jac_zero",
+                 "jacobian_structure", "local_unit_quotient", "unit_jet_vector"],
+    "modification": ["ModificationSite", "indeterminate_sites", "modifiable_sites", "modify"],
+    "obstruction": ["Liftable", "LiftabilityProblem", "NotFound", "NotLiftable", "Witness",
+                    "liftability_problem", "liftability_test", "obstruction_witness"],
+}
+HOMES = {name: module for module, names in EXPORTS.items() for name in names}
+
+
+def test_package_exports_the_same_names():
+    assert len(HOMES) == 66
+    assert sorted(pinchjac.__all__) == sorted(HOMES)
+    assert pinchjac.__version__ == "0.1.0"
+
+
+def test_each_export_is_its_home_modules_object():
+    homes = {module: importlib.import_module(f"pinchjac.{module}") for module in EXPORTS}
+    assert [n for n, m in HOMES.items() if getattr(pinchjac, n) is not getattr(homes[m], n)] == []
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace: dict = {}
+    exec("from pinchjac import *", namespace)
+    assert all(namespace[name] is getattr(pinchjac, name) for name in HOMES)
+    assert set(HOMES) <= set(dir(pinchjac))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pinchjac.no_such_name  # noqa: B018
+    assert not hasattr(pinchjac, "no_such_name")
+    from pinchjac import verify  # a submodule still imports by name
+
+    assert verify.__name__ == "pinchjac.verify"
+
+
+# Run in a new interpreter: in this one, pytest has already imported everything.
+LOADED_BY_CLI = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("pinchjac."))
+import pinchjac.cli
+after_import = loaded()
+pinchjac.cli.main(["jacobian", sys.argv[1]])
+print(json.dumps([after_import, loaded()]))
+"""
+HEAVY = {f"pinchjac.{m}" for m in
+         ("verify", "builders", "contraction", "obstruction", "modification", "abel_jacobi")}
+
+
+def test_cli_loads_only_what_jacobian_runs(fresh_python):
+    lut = Path(pinchjac.__file__).parent / "fixtures" / "lut.curve"
+    done = fresh_python("-c", LOADED_BY_CLI, str(lut))
+    assert done.returncode == 0, done.stderr
+    after_import, after_jacobian = json.loads(done.stdout.splitlines()[-1])
+    assert "pinchjac.cli" in after_import
+    assert HEAVY.isdisjoint(after_import)
+    assert HEAVY.isdisjoint(after_jacobian)

@@ -2,11 +2,13 @@
 
 Each configuration carries facts computed when it was built (violations,
 fingerprint, id lookups); the threads share the configurations, and so
-those facts.
+those facts. The package imports its submodules on first use, so threads
+may also be the first to touch a name.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -93,3 +95,37 @@ def test_entry_points_match_serial_on_four_threads():
     configs += [random_modifiable_config(rng) for _ in range(6)]
     serial = [_entry_point_work(config) for config in configs]
     assert _on_four_threads(_entry_point_work, configs) == serial * 4
+
+
+# Run in a new interpreter, where no submodule is loaded yet. The four modules
+# share dependencies (algebra, curve_model), so the threads meet in the imports.
+FIRST_TOUCH = """
+import importlib, json, sys, threading
+import pinchjac
+homes = {"Jet": "algebra", "aj_eval": "abel_jacobi", "contract_p1": "contraction",
+         "obstruction_witness": "obstruction"}
+preloaded = sorted(m for m in sys.modules if m.startswith("pinchjac."))
+barrier = threading.Barrier(len(homes))
+got = {}
+def touch(name):
+    barrier.wait()
+    got[name] = getattr(pinchjac, name)
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=touch, args=(name,), daemon=True) for name in homes]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+wrong = [name for name, module in homes.items()
+         if got.get(name) is not getattr(importlib.import_module("pinchjac." + module), name)]
+print(json.dumps([preloaded, [t.is_alive() for t in threads], wrong]))
+"""
+
+
+def test_first_touch_of_names_on_four_threads(fresh_python):
+    done = fresh_python("-c", FIRST_TOUCH)
+    assert done.returncode == 0, done.stderr
+    preloaded, alive, wrong = json.loads(done.stdout.splitlines()[-1])
+    assert preloaded == []
+    assert alive == [False] * 4
+    assert wrong == []
