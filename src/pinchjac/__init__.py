@@ -15,10 +15,7 @@ Each exported name is imported from its submodule on first use (PEP 562), so
 import importlib
 
 _EXPORTS = {
-    "algebra": (
-        "INFINITY", "FieldElem", "Jet", "P1Point", "Poly", "jet_of_rational_function",
-        "unit_exp", "unit_log",
-    ),
+    "algebra": ("INFINITY", "FieldElem", "Jet", "P1Point", "Poly", "unit_log"),
     "abel_jacobi": (
         "SmoothDivisor", "aj_eval", "aj_injectivity_probe", "cuspidal_param",
         "divisor_class", "nodal_param", "param_inverse",
@@ -30,13 +27,12 @@ _EXPORTS = {
     ),
     "curve_model": (
         "Branch", "Component", "CurveConfig", "DualGraph", "Singularity", "Violation",
-        "dual_graph", "is_smooth_point", "validate", "with_basepoints",
+        "dual_graph", "is_smooth_point", "validate",
     ),
     "dsl": ("CurveDoc", "Diagnostic", "DslParseError", "parse_curve_dsl", "print_curve_dsl"),
     "jacobian": (
-        "JacElement", "JacobianPresentation", "LocalUnitQuotient", "UnitJetVector",
-        "change_of_basis", "class_reduce", "jac_add", "jac_eq", "jac_neg", "jac_zero",
-        "jacobian_structure", "local_unit_quotient", "unit_jet_vector",
+        "JacElement", "JacobianPresentation", "UnitJetVector", "class_reduce", "jac_add",
+        "jac_eq", "jac_neg", "jac_zero", "jacobian_structure", "unit_jet_vector",
     ),
     "modification": ("ModificationSite", "indeterminate_sites", "modifiable_sites", "modify"),
     "obstruction": (

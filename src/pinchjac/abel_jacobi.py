@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import P1Point, Poly, RatLike
+from .algebra import P1Point, Poly, RatLike, as_integer
 from .curve_model import CurveConfig, is_smooth_point, require_valid
 from .errors import (
     MissingBasepoint,
@@ -40,14 +40,14 @@ class SmoothDivisor:
     entries: tuple[tuple[str, P1Point, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(
+            (component, point, as_integer(coefficient, "a divisor coefficient"))
+            for component, point, coefficient in self.entries
+        ))
 
     @classmethod
     def of(cls, entries) -> "SmoothDivisor":
-        return cls(tuple(
-            (component, P1Point.of(point), int(coefficient))
-            for component, point, coefficient in entries
-        ))
+        return cls(tuple((component, P1Point.of(point), k) for component, point, k in entries))
 
     def degree_by_component(self) -> dict[str, int]:
         degrees: dict[str, int] = {}

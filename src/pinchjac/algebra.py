@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DenominatorVanishes, NonUnit, OrderMismatch, OrderNonpositive
+from .errors import NonUnit, OrderMismatch, OrderNonpositive
 
 FieldElem = Fraction
 
@@ -32,6 +32,16 @@ def rational_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def as_integer(value, what: str) -> int:
+    """The integer a value stands for; ValueError rather than truncating 5/2 or 1.9."""
+    if type(value) is int:
+        return value
+    exact = Fraction(value)
+    if exact.denominator != 1:
+        raise ValueError(f"{what} must be an integer, got {value}")
+    return exact.numerator
 
 
 # --------------------------------------------------------------------------
@@ -119,19 +129,8 @@ class Poly:
         return cls((Fraction(c),))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, degree: int, coefficient: RatLike = 1) -> "Poly":
         return cls((0,) * degree + (Fraction(coefficient),))
-
-    @classmethod
-    def from_roots(cls, *roots: RatLike) -> "Poly":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
 
     # -- structure
 
@@ -235,10 +234,6 @@ class Poly:
             out = out * s_plus_a + Poly.constant(c)
         return out
 
-    def reversed_coeffs(self) -> "Poly":
-        """t^deg * p(1/t): the polynomial read in the coordinate at infinity."""
-        return Poly(tuple(reversed(self.coeffs)))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -337,24 +332,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Jet":
-        """Multiplicative inverse; exact at the truncation order."""
-        if not self.is_unit:
-            raise NonUnit("cannot invert a jet with zero constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return Jet(self.order, tuple(out))
-
-    def __pow__(self, n: int) -> "Jet":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return _power(self, n) if n else Jet.constant(1, self.order)
-
     def __str__(self) -> str:
         return "(" + ", ".join(rational_str(c) for c in self.coeffs) + f") order {self.order}"
 
@@ -376,53 +353,3 @@ def unit_log(u: Jet) -> Jet:
         result = result + power * Fraction(sign, k)
         sign = -sign
     return result
-
-
-def unit_exp(v: Jet) -> Jet:
-    """Truncated exponential of a jet with zero constant term."""
-    if v.constant_term != 0:
-        raise ValueError("unit_exp requires a jet with zero constant term")
-    result = Jet.constant(1, v.order)
-    power = Jet.constant(1, v.order)
-    factorial = 1
-    for k in range(1, v.order):
-        power = power * v
-        factorial *= k
-        result = result + power * Fraction(1, factorial)
-    return result
-
-
-def jet_of_rational_function(numerator: Poly, denominator: Poly,
-                             center: P1Point, order: int) -> Jet:
-    """Jet of numerator/denominator at the center, in the canonical coordinate.
-
-    At a finite point a the coordinate is s = t - a; at infinity it is
-    s = 1/t. The denominator must not vanish at the center (for the center at
-    infinity this means the function must not have a pole there).
-    """
-    if order < 1:
-        raise OrderNonpositive(f"jet order must be >= 1, got {order}")
-    if center.is_infinity:
-        dn, dd = numerator.degree, denominator.degree
-        if denominator.is_zero or (not numerator.is_zero and dn > dd):
-            raise DenominatorVanishes("pole at infinity")
-        if numerator.is_zero:
-            return Jet.constant(0, order)
-        num_local = numerator.reversed_coeffs()
-        den_local = denominator.reversed_coeffs()
-        valuation = dd - dn
-    else:
-        a = center.value
-        num_local = numerator.shifted(a)
-        den_local = denominator.shifted(a)
-        if den_local.coefficient(0) == 0:
-            raise DenominatorVanishes(f"denominator vanishes at {center}")
-        valuation = 0
-    den_jet = Jet.make(order, den_local.coeffs[:order])
-    series = Jet.make(order, num_local.coeffs[:order]) * den_jet.inverse()
-    if valuation == 0:
-        return series
-    if valuation >= order:
-        return Jet.constant(0, order)
-    shifted = (Fraction(0),) * valuation + series.coeffs[: order - valuation]
-    return Jet(order, shifted)

@@ -58,7 +58,7 @@ def _config_json(config: CurveConfig) -> dict:
 
 def _load_config(path: str) -> CurveConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliUsage(f"cannot read {path}: {exc}") from exc

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Union
 
-from .algebra import P1Point, Poly
+from .algebra import P1Point, Poly, as_integer
 from .curve_model import Branch, Component, CurveConfig, Singularity
 from .errors import CertificateFailure, DegreeOne, InfinityUnsupported, NotMonic
 
@@ -32,7 +32,7 @@ class FiniteSubscheme:
     points: tuple[tuple[P1Point, int], ...]
 
     def __post_init__(self):
-        points = tuple((p, int(m)) for p, m in self.points)
+        points = tuple((p, as_integer(m, "a multiplicity")) for p, m in self.points)
         if not points:
             raise ValueError("a finite subscheme needs at least one point")
         seen = set()
@@ -60,8 +60,7 @@ class FiniteSubscheme:
 
 def finite_subscheme(points) -> FiniteSubscheme:
     """Build a subscheme from (point-like, multiplicity) pairs."""
-    out = tuple((P1Point.of(point), int(mult)) for point, mult in points)
-    return FiniteSubscheme(out)
+    return FiniteSubscheme(tuple((P1Point.of(point), mult) for point, mult in points))
 
 
 def vanishing_ideal_generator(z: FiniteSubscheme) -> Poly:

@@ -84,10 +84,6 @@ class Singularity:
         """Delta invariant: total branch multiplicity minus one."""
         return self.total_multiplicity - 1
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
-
 
 @dataclass(frozen=True)
 class CurveConfig:
@@ -160,16 +156,6 @@ def _structure_hash(config: CurveConfig) -> str:
         parts.append(f"B:{cid}@{point}")
     digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
     return digest[:16]
-
-
-def with_basepoints(config: CurveConfig, mapping: Mapping[str, P1Point]) -> CurveConfig:
-    """Copy of the configuration with the given basepoint assignment."""
-    return CurveConfig(
-        name=config.name,
-        components=config.components,
-        singularities=config.singularities,
-        basepoints=tuple(mapping.items()),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -21,10 +21,6 @@ class NonUnit(PinchjacError):
     """A jet with vanishing constant term cannot be inverted or logged."""
 
 
-class DenominatorVanishes(PinchjacError):
-    """The denominator of a rational function vanishes at the chosen center."""
-
-
 # ---------------------------------------------------------------- curve model
 
 class InvalidConfig(PinchjacError):

@@ -29,44 +29,15 @@ from .algebra import Jet, rational_str, unit_log
 from .curve_model import (
     CurveConfig,
     Edge,
-    Singularity,
     Vertex,
     branch_edges,
     forest_parents,
-    fundamental_cycles,
     require_valid,
     spanning_forest,
 )
 from .errors import NonUnitEntry, OrderMismatch, PresentationMismatch
 
 TORUS_ORIENTATION = "branch value over first-listed branch value, forest-normalized"
-
-
-# --------------------------------------------------------------------------
-# Local unit quotients
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalUnitQuotient:
-    """Ranks of (units along the branches) / (local units of the curve)."""
-
-    singularity: str
-    torus_rank: int
-    unipotent_rank: int
-    branch_order: tuple
-
-    @property
-    def delta(self) -> int:
-        return self.torus_rank + self.unipotent_rank
-
-
-def local_unit_quotient(s: Singularity) -> LocalUnitQuotient:
-    """Local units of a contraction-type ring contribute only constants, so
-    the quotient has torus rank (branches - 1) and unipotent rank
-    sum(multiplicity - 1)."""
-    torus = s.branch_count - 1
-    unipotent = sum(b.multiplicity - 1 for b in s.branches)
-    return LocalUnitQuotient(s.id, torus, unipotent, tuple(s.branches))
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +121,6 @@ class UnitJetVector:
         return UnitJetVector(
             tuple((s, i, j * other._jets[(s, i)]) for s, i, j in self.entries)
         )
-
-    def inverse(self) -> "UnitJetVector":
-        return UnitJetVector(tuple((s, i, j.inverse()) for s, i, j in self.entries))
 
 
 def unit_jet_vector(config: CurveConfig, jets: Mapping[tuple[str, int], Jet]) -> UnitJetVector:
@@ -313,103 +281,3 @@ def class_reduce(
     }
     values = {(sing, idx): jet.constant_term for sing, idx, jet in vector.entries}
     return branch_class(config, presentation, values, unipotent)
-
-
-# --------------------------------------------------------------------------
-# Change of basis between presentations of the same curve
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassTransport:
-    """Coordinate change between presentations of one underlying curve.
-
-    Torus coordinates transform by the unimodular change between the two
-    fundamental-cycle bases; unipotent coordinates are permuted along the
-    branch correspondence.
-    """
-
-    src_fingerprint: str
-    dst_fingerprint: str
-    torus_exponents: tuple[tuple[tuple[int, int], ...], ...]  # per dst coord: (src index, exponent)
-    unipotent_map: tuple[int, ...]  # per dst coord: src index
-
-    def apply(self, element: JacElement) -> JacElement:
-        if element.config_fingerprint != self.src_fingerprint:
-            raise PresentationMismatch("element does not belong to the source presentation")
-        torus = []
-        for powers in self.torus_exponents:
-            value = Fraction(1)
-            for src_index, exponent in powers:
-                value *= element.torus_coords[src_index] ** exponent
-            torus.append(value)
-        unipotent = tuple(element.unipotent_coords[i] for i in self.unipotent_map)
-        return JacElement(self.dst_fingerprint, tuple(torus), unipotent)
-
-
-def _branch_identity_map(
-    src_config: CurveConfig, dst_config: CurveConfig
-) -> dict[Edge, Edge]:
-    """Match branches of two configurations by (component, point) identity."""
-    def keyed(config):
-        out = {}
-        for s in config.singularities:
-            for i, b in enumerate(s.branches):
-                out[(b.component, b.point)] = ((s.id, i), b.multiplicity)
-        return out
-
-    src = keyed(src_config)
-    dst = keyed(dst_config)
-    if set(src) != set(dst):
-        raise PresentationMismatch("configurations have different branch sets")
-    mapping = {}
-    for key, (dst_edge, dst_mult) in dst.items():
-        src_edge, src_mult = src[key]
-        if src_mult != dst_mult:
-            raise PresentationMismatch(f"branch {key} changed multiplicity")
-        mapping[dst_edge] = src_edge
-    return mapping
-
-
-def change_of_basis(
-    src_config: CurveConfig,
-    src_presentation: JacobianPresentation,
-    dst_config: CurveConfig,
-    dst_presentation: JacobianPresentation,
-) -> ClassTransport:
-    """Transport classes between presentations of the same underlying curve.
-
-    The two configurations must have identical branches up to relabeling of
-    list positions (matched by component and point).
-    """
-    dst_to_src = _branch_identity_map(src_config, dst_config)
-    src_index = {edge: k for k, edge in enumerate(src_presentation.torus_basis)}
-
-    cycles = fundamental_cycles(
-        branch_edges(dst_config),
-        dst_presentation.spanning_forest,
-        dst_presentation.torus_basis,
-    )
-    torus_rows = []
-    for cycle in cycles.values():
-        row = []
-        for edge, exponent in sorted(cycle.items()):
-            src_edge = dst_to_src[edge]
-            if src_edge in src_index:
-                row.append((src_index[src_edge], exponent))
-        torus_rows.append(tuple(row))
-
-    src_unip_index = {
-        (sing, idx, k): pos
-        for pos, (sing, idx, k) in enumerate(src_presentation.unipotent_basis)
-    }
-    unip_map = []
-    for sing, idx, k in dst_presentation.unipotent_basis:
-        src_sing, src_idx = dst_to_src[(sing, idx)]
-        unip_map.append(src_unip_index[(src_sing, src_idx, k)])
-
-    return ClassTransport(
-        src_fingerprint=src_presentation.config_fingerprint,
-        dst_fingerprint=dst_presentation.config_fingerprint,
-        torus_exponents=tuple(torus_rows),
-        unipotent_map=tuple(unip_map),
-    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from pinchjac.abel_jacobi import (
     nodal_param,
     param_inverse,
 )
-from pinchjac.algebra import INFINITY, P1Point, jet_of_rational_function, Poly, unit_log
+from oracles import jet_of_rational_function
+from pinchjac.algebra import INFINITY, P1Point, Poly, unit_log
 from pinchjac.builders import (
     cuspidal_cubic,
     elliptic_pair,
@@ -31,7 +33,7 @@ from pinchjac.builders import (
     two_nodes_pair,
 )
 from pinchjac.contraction import contract_p1, finite_subscheme
-from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity, with_basepoints
+from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity
 from pinchjac.errors import (
     MissingBasepoint,
     NonzeroDegree,
@@ -102,6 +104,18 @@ def test_divisor_negation_inverts_the_class():
     bwd = divisor_class(config, presentation, -divisor)
     assert jac_eq(bwd, jac_neg(fwd))
     assert bwd.torus_coords == (Fraction(2),)
+
+
+def test_divisor_coefficients_must_be_integers():
+    half = Fraction(1, 2)
+    for bad in ((half, -half), (1.9, -1.9)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SmoothDivisor.of([("L", 2, bad[0]), ("L", 3, bad[1])])
+    with pytest.raises(ValueError, match="must be an integer"):
+        SmoothDivisor((("L", _pt(2), Fraction(1, 2)), ("L", _pt(3), Fraction(-1, 2))))
+    exact = SmoothDivisor.of([("L", 2, Fraction(2)), ("L", 3, -2)])
+    assert exact.entries == (("L", _pt(2), 2), ("L", _pt(3), -2))
+    assert all(type(k) is int for _, _, k in exact.entries)
 
 
 def test_divisor_errors():
@@ -280,8 +294,9 @@ def test_param_points_satisfy_curve_equations_on_samples():
 # --------------------------------------------------------------------------
 
 def test_contracted_configs_reproduce_the_closed_forms():
-    nodal = with_basepoints(contract_p1(finite_subscheme([(0, 1), (1, 1)])), {"L": INFINITY})
-    cusp = with_basepoints(contract_p1(finite_subscheme([(0, 2)])), {"L": INFINITY})
+    at_infinity = (("L", INFINITY),)
+    nodal = replace(contract_p1(finite_subscheme([(0, 1), (1, 1)])), basepoints=at_infinity)
+    cusp = replace(contract_p1(finite_subscheme([(0, 2)])), basepoints=at_infinity)
     np_ = jacobian_structure(nodal)
     cp = jacobian_structure(cusp)
     for k in range(2, 22):

@@ -232,6 +232,15 @@ def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
     assert err.startswith(f"cannot read {bad}: ")
 
 
+def test_file_with_a_byte_order_mark_reads_as_without(capsys, curves, tmp_path):
+    marked = tmp_path / "marked.curve"
+    marked.write_bytes(b"\xef\xbb\xbf" + LUT.encode("utf-8"))
+    assert _run(capsys, ["jacobian", str(marked)]) == _run(capsys, ["jacobian", curves["lut"]])
+    code, out, err = _run(capsys, ["jacobian", str(marked)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["torus_rank"] == 1
+
+
 @pytest.mark.parametrize("target", ["missing/x.curve", "."], ids=["missing-dir", "a-directory"])
 def test_modify_to_unwritable_output_exits_two(capsys, curves, tmp_path, target):
     output = str(tmp_path / target)

@@ -35,6 +35,16 @@ def test_subscheme_guards():
         FiniteSubscheme(((INFINITY, 1), (INFINITY, 2)))
 
 
+def test_subscheme_multiplicities_must_be_integers():
+    with pytest.raises(ValueError, match="must be an integer"):
+        finite_subscheme([(0, Fraction(5, 2))])
+    with pytest.raises(ValueError, match="must be an integer"):
+        FiniteSubscheme(((P1Point.finite(0), 1.5),))
+    z = finite_subscheme([(0, Fraction(2)), (1, 1)])
+    assert z.points == ((P1Point.finite(0), 2), (P1Point.finite(1), 1))
+    assert all(type(m) is int for _, m in z.points)
+
+
 def test_vanishing_ideal_generator():
     assert vanishing_ideal_generator(finite_subscheme([(0, 1), (1, 1)])) == Poly((0, -1, 1))
     assert vanishing_ideal_generator(finite_subscheme([(0, 2)])) == Poly((0, 0, 1))

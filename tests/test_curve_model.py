@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +34,6 @@ from pinchjac.curve_model import (
     dual_graph,
     is_smooth_point,
     validate,
-    with_basepoints,
 )
 from pinchjac.errors import (
     InvalidConfig,
@@ -69,7 +69,7 @@ def test_duplicate_branch_point_is_reported():
 
 
 def test_basepoint_on_branch_is_reported():
-    config = with_basepoints(nodal_cubic(), {"L": _pt(0)})
+    config = replace(nodal_cubic(), basepoints=(("L", _pt(0)),))
     kinds = [v.kind for v in validate(config)]
     assert kinds == [BASEPOINT_NOT_SMOOTH]
 
@@ -224,7 +224,7 @@ def test_fingerprint_tracks_structure():
     a = nodal_cubic()
     b = nodal_cubic()
     assert a.fingerprint() == b.fingerprint()
-    moved = with_basepoints(a, {"L": _pt(7)})
+    moved = replace(a, basepoints=(("L", _pt(7)),))
     assert moved.fingerprint() != a.fingerprint()
 
 

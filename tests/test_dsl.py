@@ -4,6 +4,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchjac.algebra import INFINITY, P1Point
 from pinchjac.builders import (
@@ -14,7 +16,7 @@ from pinchjac.builders import (
     two_lines,
     two_nodes_pair,
 )
-from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity
+from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity, validate
 from pinchjac.dsl import (
     DslParseError,
     parse_curve_dsl,
@@ -209,6 +211,50 @@ def test_print_round_trip_on_random_configs():
         reparsed = parse_curve_dsl(printed)
         assert reparsed.config == config
         assert print_curve_dsl(reparsed.config) == printed
+
+
+_FIRST = string.ascii_letters + "_"
+_NAMES = st.builds(str.__add__, st.sampled_from(_FIRST),
+                   st.text(_FIRST + string.digits, max_size=5))  # matches dsl._NAME_RE
+_POINTS = st.one_of(
+    st.just(INFINITY),
+    st.builds(P1Point.finite, st.fractions(min_value=-20, max_value=20, max_denominator=9)),
+)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Up to four components of genus up to 2; branches at distinct points, of
+    multiplicity up to 5 on genus-0 components, grouped into up to four
+    singularities of total multiplicity at least 2; basepoints off the branches."""
+    ids = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    components = tuple(Component(c, draw(st.integers(0, 2))) for c in ids)
+    genus = {c.id: c.genus for c in components}
+    places = draw(st.lists(st.tuples(st.sampled_from(ids), _POINTS), max_size=8, unique=True))
+    branches = [Branch(c, p, 1 if genus[c] else draw(st.integers(1, 5))) for c, p in places]
+    groups = draw(st.lists(st.integers(0, 3), min_size=len(branches), max_size=len(branches)))
+    sing_ids = draw(st.lists(_NAMES, min_size=4, max_size=4, unique=True))
+    singularities = []
+    for g in sorted(set(groups)):
+        members = tuple(b for b, h in zip(branches, groups) if h == g)
+        if sum(b.multiplicity for b in members) >= 2:
+            singularities.append(Singularity(sing_ids[g], members))
+    taken = {(b.component, b.point) for s in singularities for b in s.branches}
+    basepoints = []
+    for c in ids:
+        point = draw(_POINTS)
+        if draw(st.booleans()) and (c, point) not in taken:
+            basepoints.append((c, point))
+    return CurveConfig(draw(_NAMES), components, tuple(singularities), tuple(basepoints))
+
+
+@settings(deadline=None)
+@given(_valid_configs())
+def test_print_round_trip_on_drawn_configs(config):
+    assert validate(config) == []
+    reparsed = parse_curve_dsl(print_curve_dsl(config)).config
+    assert reparsed == config
+    assert reparsed.fingerprint() == config.fingerprint()
 
 
 def test_fuzz_inputs_never_crash():

@@ -19,6 +19,8 @@ FIXTURES = Path(pinchjac.__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = ("cuspidal", "elliptic_pair", "lut", "nodal", "two_lines")
 AJ_POINTS = {"cuspidal": "L:2", "lut": "L1:2", "nodal": "L:2", "two_lines": "L2:2"}
+# the probe reports its collisions in order, so these pin that order too
+PROBE_NAMES = ("nodal", "cuspidal", "lut", "two_lines")
 # one subscheme per degree e, with the multiplicities the benchmark contracts,
 # plus one through infinity that needs a change of coordinates
 CONTRACT_POINTS = {
@@ -36,6 +38,10 @@ CASES = (
     + [
         (f"aj_{n}", ["aj", str(FIXTURES / f"{n}.curve"), "--point", point])
         for n, point in AJ_POINTS.items()
+    ]
+    + [
+        (f"probe_{n}", ["probe", str(FIXTURES / f"{n}.curve"), "--samples", "12"])
+        for n in PROBE_NAMES
     ]
     + [
         (
