@@ -15,7 +15,7 @@ Each exported name is imported from its submodule on first use (PEP 562), so
 import importlib
 
 _EXPORTS = {
-    "algebra": ("INFINITY", "FieldElem", "Jet", "P1Point", "Poly", "unit_log"),
+    "algebra": ("INFINITY", "Jet", "P1Point", "Poly", "unit_log"),
     "abel_jacobi": (
         "SmoothDivisor", "aj_eval", "aj_injectivity_probe", "cuspidal_param",
         "divisor_class", "nodal_param", "param_inverse",

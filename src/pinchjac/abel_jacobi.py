@@ -136,27 +136,21 @@ def aj_eval(
     presentation: JacobianPresentation,
     component_id: str,
     point: P1Point | RatLike,
-    basepoints: dict[str, P1Point] | None = None,
 ) -> JacElement:
     """Abel-Jacobi image of a smooth point: the class of [point] - [basepoint].
 
-    Basepoints default to the configuration's own assignment; every component
-    must have one.
+    The basepoint is the configuration's own; every component must have one.
     """
     point = P1Point.of(point)
     require_valid(config)
     # the configuration's own basepoints are smooth, or require_valid fails
-    check_base = basepoints is not None
-    basepoint = config.basepoint if basepoints is None else basepoints.get
     for component in config.components:
-        if basepoint(component.id) is None:
+        if config.basepoint(component.id) is None:
             raise MissingBasepoint(f"component {component.id!r} has no basepoint")
     if not is_smooth_point(config, component_id, point):
         raise PointNotSmooth(f"({component_id}, {point}) is a branch point")
-    base = basepoint(component_id)
+    base = config.basepoint(component_id)
     _require_genus_zero(config)
-    if check_base and base != point and not is_smooth_point(config, component_id, base):
-        raise PointNotSmooth(f"({component_id}, {base}) is a branch point")
     support = {component_id: [(point, 1), (base, -1)]} if base != point else {}
     return _class(config, presentation, support)
 
@@ -173,7 +167,6 @@ def aj_injectivity_probe(
     config: CurveConfig,
     presentation: JacobianPresentation,
     sample,
-    basepoints: dict[str, P1Point] | None = None,
 ) -> ProbeReport:
     """Pairwise-compare Abel-Jacobi classes over a finite sample, exactly.
 
@@ -182,7 +175,7 @@ def aj_injectivity_probe(
     """
     normalized = [(c, P1Point.of(p)) for c, p in sample]
     classes = [
-        aj_eval(config, presentation, component_id, point, basepoints)
+        aj_eval(config, presentation, component_id, point)
         for component_id, point in normalized
     ]
     collisions = []

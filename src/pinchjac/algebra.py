@@ -21,8 +21,6 @@ from typing import Iterable, Union
 
 from .errors import NonUnit, OrderMismatch, OrderNonpositive
 
-FieldElem = Fraction
-
 RatLike = Union[int, Fraction]
 
 
@@ -129,8 +127,8 @@ class Poly:
         return cls((Fraction(c),))
 
     @classmethod
-    def monomial(cls, degree: int, coefficient: RatLike = 1) -> "Poly":
-        return cls((0,) * degree + (Fraction(coefficient),))
+    def monomial(cls, degree: int) -> "Poly":
+        return cls((0,) * degree + (1,))
 
     # -- structure
 
@@ -196,25 +194,15 @@ class Poly:
     def __divmod__(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coeffs) - len(divisor.coeffs) + 1, 0)
-        rem = list(self.coeffs)
         d = divisor.degree
         lead = divisor.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quotient[k] = factor
+        rem = list(self.coeffs)
+        quotient = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in range(len(rem) - d - 1, -1, -1):
+            factor = quotient[k] = rem[k + d] / lead
             for i, c in enumerate(divisor.coeffs):
                 rem[k + i] -= factor * c
-            rem.pop()
-        return Poly(quotient), Poly(rem)
-
-    def __floordiv__(self, divisor: "Poly") -> "Poly":
-        return divmod(self, divisor)[0]
+        return Poly(quotient), Poly(rem[:d])
 
     def __mod__(self, divisor: "Poly") -> "Poly":
         return divmod(self, divisor)[1]

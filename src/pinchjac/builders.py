@@ -58,18 +58,13 @@ def elliptic_pair() -> CurveConfig:
 class _PointAllocator:
     """Hands out fresh points per component: 0, 1, -1, 2, ... and inf once."""
 
-    def __init__(self, rng: random.Random, allow_infinity: bool = True):
+    def __init__(self, rng: random.Random):
         self._rng = rng
         self._next: dict[str, int] = {}
         self._inf_used: set[str] = set()
-        self._allow_infinity = allow_infinity
 
     def take(self, component_id: str) -> P1Point:
-        if (
-            self._allow_infinity
-            and component_id not in self._inf_used
-            and self._rng.random() < 0.08
-        ):
+        if component_id not in self._inf_used and self._rng.random() < 0.08:
             self._inf_used.add(component_id)
             return INFINITY
         k = self._next.get(component_id, 0)

@@ -92,11 +92,11 @@ def _degree_sum_counts(degrees: list[int], depth: int) -> list[int]:
     return list(accumulate(map(int, reachable)))
 
 
-def contraction_generators(g: Poly, hilbert_checked_to: int | None = None) -> GeneratorSet:
+def contraction_generators(g: Poly) -> GeneratorSet:
     """Generators g*t^k (k < deg g) of the subalgebra K + (g), certified.
 
-    The certificate checks, for every degree d up to ``hilbert_checked_to``
-    (default 3*deg(g) + 3), that products of generators span the slice of
+    The certificate checks, for every degree d up to 3*deg(g) + 3 (recorded
+    as ``hilbert_checked_to``), that products of generators span the slice of
     K + (g) of degree at most d. The products are monic and a product's
     degree is the sum of its factors' degrees, so the number of distinct
     degree sums up to d (the empty product gives 0) bounds the span's
@@ -109,9 +109,7 @@ def contraction_generators(g: Poly, hilbert_checked_to: int | None = None) -> Ge
     e = g.degree
     if e < 1:
         raise ValueError("the generator must have degree at least 1")
-    depth = hilbert_checked_to if hilbert_checked_to is not None else 3 * e + 3
-    if depth < e:
-        raise ValueError("hilbert_checked_to must be at least deg(g)")
+    depth = 3 * e + 3
     generators = tuple(g * Poly.monomial(k) for k in range(e))
 
     counts = _degree_sum_counts([gen.degree for gen in generators], depth)

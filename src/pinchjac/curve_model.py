@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .algebra import P1Point
+from .algebra import P1Point, RatLike
 from .errors import (
     InvalidConfig,
     PositiveGenusUnsupported,
@@ -54,13 +54,14 @@ class Component:
 
 @dataclass(frozen=True)
 class Branch:
-    """A point of the normalization lying over a singularity."""
+    """A point of the normalization over a singularity; a number is a finite point."""
 
     component: str
     point: P1Point
     multiplicity: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "point", P1Point.of(self.point))
         if self.multiplicity < 1:
             raise ValueError("branch multiplicity must be positive")
 
@@ -91,7 +92,8 @@ class CurveConfig:
 
     The facts every entry point reads (violations, fingerprint, id lookups,
     branch points) are computed once, when the configuration is built. Where
-    an id repeats, lookups return its first occurrence.
+    an id repeats, lookups return its first occurrence. A basepoint given as a
+    number is a finite point.
     """
 
     name: str
@@ -108,7 +110,8 @@ class CurveConfig:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "singularities", tuple(self.singularities))
-        ordered = tuple(sorted(self.basepoints, key=lambda kv: kv[0]))
+        bases = ((cid, P1Point.of(point)) for cid, point in self.basepoints)
+        ordered = tuple(sorted(bases, key=lambda kv: kv[0]))
         object.__setattr__(self, "basepoints", ordered)
         # the first occurrence of a repeated id wins, as in a scan
         object.__setattr__(self, "_components", {c.id: c for c in reversed(self.components)})
@@ -258,10 +261,8 @@ Edge = tuple[str, int]  # (singularity id, branch index)
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Bipartite incidence graph of components and singularities."""
+    """Invariants of the bipartite incidence graph of components and singularities."""
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, int, str], ...]  # (singularity, branch index, component)
     betti1: int
     connected_components: int
 
@@ -384,10 +385,9 @@ def bridges(config: CurveConfig) -> frozenset[Edge]:
 def dual_graph(config: CurveConfig) -> DualGraph:
     """The dual graph with its first Betti number and component count."""
     require_valid(config)
-    ends = branch_edges(config)
     forest, root = spanning_forest(config)
-    edges = tuple((s, i, c[1]) for (s, i), (c, _) in ends.items())
-    return DualGraph(tuple(root), edges, len(ends) - len(forest), len(root) - len(forest))
+    edges = sum(len(s.branches) for s in config.singularities)
+    return DualGraph(edges - len(forest), len(root) - len(forest))
 
 
 def component_partition_without(config: CurveConfig, singularity_id: str) -> tuple[tuple[str, ...], ...]:
@@ -405,7 +405,7 @@ def component_partition_without(config: CurveConfig, singularity_id: str) -> tup
     return tuple(tuple(members) for members in classes.values())
 
 
-def is_smooth_point(config: CurveConfig, component_id: str, point: P1Point) -> bool:
+def is_smooth_point(config: CurveConfig, component_id: str, point: P1Point | RatLike) -> bool:
     """True when the point is not a branch point of any singularity."""
     component = config.component(component_id)
     if component.genus > 0:
@@ -413,7 +413,7 @@ def is_smooth_point(config: CurveConfig, component_id: str, point: P1Point) -> b
             f"component {component_id!r} has genus {component.genus}; "
             "point arithmetic is only supported on genus-0 components"
         )
-    return (component_id, point) not in config.branch_points()
+    return (component_id, P1Point.of(point)) not in config.branch_points()
 
 
 def smooth_sample(config: CurveConfig, component_id: str, count: int) -> list[P1Point]:

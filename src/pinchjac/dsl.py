@@ -51,15 +51,9 @@ class DslParseError(Exception):
 
 @dataclass(frozen=True)
 class CurveDoc:
-    source: str
-    config: CurveConfig
-    locations: tuple[tuple[str, int], ...]  # (construct key, line number)
+    """A parsed curve description."""
 
-    def line_of(self, key: str) -> int | None:
-        for k, line in self.locations:
-            if k == key:
-                return line
-        return None
+    config: CurveConfig
 
 
 def parse_point(text: str) -> P1Point | None:
@@ -194,7 +188,6 @@ def _parse_branch_group(parser: _LineParser, allow_mult: bool) -> Branch | None:
 def parse_curve_dsl(text: str) -> CurveDoc:
     """Parse a curve description; raises DslParseError with all diagnostics."""
     diagnostics: list[Diagnostic] = []
-    locations: list[tuple[str, int]] = []
     name: str | None = None
     components: list[Component] = []
     singularities: list[Singularity] = []
@@ -216,7 +209,6 @@ def parse_curve_dsl(text: str) -> CurveDoc:
             if parsed is None:
                 continue
             name = parsed
-            locations.append(("curve", line_number))
             parser.expect_end()
 
         elif head.text == "component":
@@ -232,7 +224,6 @@ def parse_curve_dsl(text: str) -> CurveDoc:
                     continue
             parser.expect_end()
             components.append(Component(component_id, genus))
-            locations.append((f"component:{component_id}", line_number))
 
         elif head.text == "sing":
             sing_id = parser.expect_name("a singularity id")
@@ -266,7 +257,6 @@ def parse_curve_dsl(text: str) -> CurveDoc:
                 parser.fail("pinch requires at least one branch", kind)
                 continue
             singularities.append(Singularity(sing_id, tuple(branches)))
-            locations.append((f"sing:{sing_id}", line_number))
 
         elif head.text == "base":
             component_id = parser.expect_name("a component id")
@@ -283,7 +273,6 @@ def parse_curve_dsl(text: str) -> CurveDoc:
                 continue
             seen_base.add(component_id)
             basepoints.append((component_id, point))
-            locations.append((f"base:{component_id}", line_number))
 
         else:
             parser.fail("unknown directive", head)
@@ -300,7 +289,7 @@ def parse_curve_dsl(text: str) -> CurveDoc:
         singularities=tuple(singularities),
         basepoints=tuple(basepoints),
     )
-    return CurveDoc(source=text, config=config, locations=tuple(locations))
+    return CurveDoc(config)
 
 
 def print_curve_dsl(config: CurveConfig) -> str:

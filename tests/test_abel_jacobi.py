@@ -33,7 +33,14 @@ from pinchjac.builders import (
     two_nodes_pair,
 )
 from pinchjac.contraction import contract_p1, finite_subscheme
-from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity
+from pinchjac.curve_model import (
+    Branch,
+    Component,
+    CurveConfig,
+    Singularity,
+    is_smooth_point,
+    smooth_sample,
+)
 from pinchjac.errors import (
     MissingBasepoint,
     NonzeroDegree,
@@ -197,10 +204,49 @@ def test_aj_missing_basepoint():
     )
     with pytest.raises(MissingBasepoint):
         aj_eval(config, jacobian_structure(config), "L", 5)
-    element = aj_eval(
-        config, jacobian_structure(config), "L", 5, basepoints={"L": INFINITY}
-    )
+    based = replace(config, basepoints=(("L", INFINITY),))
+    element = aj_eval(based, jacobian_structure(based), "L", 5)
     assert element.torus_coords == (Fraction(4, 5),)
+
+
+def test_moving_a_basepoint_subtracts_its_old_image():
+    # aj with basepoint b on c is aj(p) - aj(b) with the old basepoint; the
+    # presentations' fingerprints differ, so compare coordinates
+    rng = random.Random(73)
+    for _ in range(40):
+        config = random_rational_aj_config(rng)
+        presentation = jacobian_structure(config)
+        c = rng.choice(config.components).id
+        candidates = smooth_sample(config, c, 8)
+        if is_smooth_point(config, c, INFINITY):
+            candidates.append(INFINITY)
+        p, b = rng.sample(candidates, 2)
+        bases = tuple((cid, b if cid == c else q) for cid, q in config.basepoints)
+        moved = replace(config, basepoints=bases)
+        got = aj_eval(moved, jacobian_structure(moved), c, p)
+        want = jac_add(
+            aj_eval(config, presentation, c, p), jac_neg(aj_eval(config, presentation, c, b))
+        )
+        assert (got.torus_coords, got.unipotent_coords) == (
+            want.torus_coords, want.unipotent_coords
+        )
+
+
+def test_plain_numbers_are_points():
+    config = CurveConfig(
+        "nodal",
+        (Component("L"),),
+        (Singularity("n", (Branch("L", 0), Branch("L", 1))),),
+        (("L", INFINITY),),
+    )
+    assert config == nodal_cubic()
+    assert config.fingerprint() == nodal_cubic().fingerprint()
+    presentation = jacobian_structure(config)
+    assert aj_eval(config, presentation, "L", 2).torus_coords == (Fraction(1, 2),)
+    with pytest.raises(PointNotSmooth):
+        aj_eval(config, presentation, "L", 0)
+    numeric_base = CurveConfig("b", (Component("L"),), basepoints=(("L", 3),))
+    assert numeric_base.basepoints == (("L", _pt(3)),)
 
 
 def test_aj_with_branch_at_infinity():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import DenominatorVanishes, jet_inverse, jet_of_rational_function, unit_exp
-from pinchjac.algebra import INFINITY, FieldElem, Jet, P1Point, Poly, rational_str, unit_log
+from pinchjac.algebra import INFINITY, Jet, P1Point, Poly, rational_str, unit_log
 from pinchjac.errors import NonUnit, OrderMismatch, OrderNonpositive
 
 
@@ -23,11 +23,11 @@ def _random_poly(rng: random.Random, max_degree: int = 5) -> Poly:
 # --------------------------------------------------------------------------
 
 def test_field_elements_are_normalized():
-    q = FieldElem(6, -4)
+    q = Fraction(6, -4)
     assert q.numerator == -3
     assert q.denominator == 2
     assert rational_str(q) == "-3/2"
-    assert rational_str(FieldElem(14, 7)) == "2"
+    assert rational_str(Fraction(14, 7)) == "2"
 
 
 def test_field_axioms_on_random_triples():
@@ -43,9 +43,9 @@ def test_field_axioms_on_random_triples():
 
 
 def test_large_exact_products_do_not_overflow():
-    product = FieldElem(1)
+    product = Fraction(1)
     for k in range(1, 60):
-        product *= FieldElem(10**6 + k, k)
+        product *= Fraction(10**6 + k, k)
     assert product.denominator > 0
     assert product * (1 / product) == 1
 
@@ -73,6 +73,11 @@ def test_poly_divmod_roundtrip():
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.is_zero or r.degree < g.degree
+    f = Poly((1, 2))
+    assert divmod(f, Poly((0, 0, 1))) == (Poly.zero(), f)  # the divisor's degree is larger
+    assert divmod(f, Poly.constant(2)) == (Poly((Fraction(1, 2), 1)), Poly.zero())
+    with pytest.raises(ZeroDivisionError):
+        divmod(f, Poly.zero())
 
 
 def test_poly_shift_and_reverse():

@@ -97,6 +97,7 @@ def test_probe_command(capsys, curves):
             "point arithmetic is only supported on genus-0 components\n",
         ),
     ],
+    ids=["L:2", "E:2"],
 )
 def test_aj_on_mixed_genera_is_negative(capsys, curves, point, message):
     assert _run(capsys, ["aj", curves["mixed"], "--point", point]) == (1, "", message)

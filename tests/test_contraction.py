@@ -62,8 +62,9 @@ def test_generator_sets():
     cusp = contraction_generators(Poly((0, 0, 1)))
     assert [str(g) for g in cusp.generators] == ["t^2", "t^3"]
 
-    cubic = contraction_generators(Poly((0, 0, 0, 1)), hilbert_checked_to=12)
+    cubic = contraction_generators(Poly((0, 0, 0, 1)))
     assert [str(g) for g in cubic.generators] == ["t^3", "t^4", "t^5"]
+    assert cubic.hilbert_checked_to == 12
 
     with pytest.raises(NotMonic):
         contraction_generators(Poly((0, 0, 2)))
@@ -115,7 +116,7 @@ def test_degree_count_matches_row_reduction_of_products():
             coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(e)]
             g = Poly(coeffs + [Fraction(1)])
             depth = 3 * e + 3
-            generators = contraction_generators(g, hilbert_checked_to=depth).generators
+            generators = contraction_generators(g).generators
             pivots = _oracle_echelon_pivot_degrees(
                 _oracle_generator_products(generators, depth)
             )

@@ -139,6 +139,8 @@ def test_is_smooth_point():
     nodal = nodal_cubic()
     assert is_smooth_point(nodal, "L", _pt(5))
     assert not is_smooth_point(nodal, "L", _pt(0))
+    assert not is_smooth_point(nodal, "L", 0)  # a plain number is a finite point
+    assert is_smooth_point(nodal, "L", 5)
     assert is_smooth_point(two_nodes_pair(), "L2", INFINITY)
     with pytest.raises(UnknownComponent):
         is_smooth_point(nodal, "missing", _pt(0))

@@ -102,7 +102,6 @@ def test_builders_match_hand_built_configs(build, expected):
 def test_parse_nodal():
     doc = parse_curve_dsl(NODAL_TEXT)
     assert doc.config == NODAL
-    assert doc.line_of("sing:n") == 3
 
 
 def test_parse_lut():

@@ -60,21 +60,14 @@ CASES = {
     # aj_eval: config, basepoints, point, genus, presentation
     "aj_invalid_config": lambda: aj_eval(INVALID, NODAL_PRES, "L", 2),
     "aj_missing_basepoint": lambda: aj_eval(NO_BASE, NODAL_PRES, "L", 2),
-    "aj_missing_explicit_basepoint": lambda: aj_eval(LUT, LUT_PRES, "L1", 2, {"L1": INFINITY}),
     "aj_missing_basepoint_before_unknown_component": lambda: aj_eval(NO_BASE, NODAL_PRES, "X", 2),
     "aj_unknown_component": lambda: aj_eval(NODAL, NODAL_PRES, "X", 2),
     "aj_point_not_smooth": lambda: aj_eval(NODAL, NODAL_PRES, "L", 0),
-    "aj_basepoint_not_smooth": lambda: aj_eval(
-        NODAL, NODAL_PRES, "L", 2, {"L": P1Point.finite(1)}
-    ),
     "aj_genus_elsewhere": lambda: aj_eval(MIXED, MIXED_PRES, "L", 2),
     "aj_genus_of_point_component": lambda: aj_eval(MIXED, MIXED_PRES, "E", 2),
     "aj_point_not_smooth_before_genus_elsewhere": lambda: aj_eval(MIXED, MIXED_PRES, "L", 0),
     "aj_fingerprint_mismatch": lambda: aj_eval(NODAL, LUT_PRES, "L", 2),
     "aj_point_not_smooth_before_mismatch": lambda: aj_eval(NODAL, LUT_PRES, "L", 0),
-    "aj_basepoint_not_smooth_before_mismatch": lambda: aj_eval(
-        NODAL, LUT_PRES, "L", 2, {"L": P1Point.finite(0)}
-    ),
     "aj_genus_before_mismatch": lambda: aj_eval(MIXED, NODAL_PRES, "L", 2),
     # divisor_class: config, genus, components, support, degree, presentation
     "div_invalid_config": lambda: divisor_class(INVALID, NODAL_PRES, _div(("L", 2, 1))),
