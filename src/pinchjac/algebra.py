@@ -213,15 +213,6 @@ class Poly:
             acc = acc * Fraction(point) + c
         return acc
 
-    def shifted(self, a: RatLike) -> "Poly":
-        """Coefficients of p(s + a): the expansion of p around the point a."""
-        a = Fraction(a)
-        out = Poly.zero()
-        s_plus_a = Poly((a, 1))
-        for c in reversed(self.coeffs):
-            out = out * s_plus_a + Poly.constant(c)
-        return out
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

@@ -92,6 +92,16 @@ def _degree_sum_counts(degrees: list[int], depth: int) -> list[int]:
     return list(accumulate(map(int, reachable)))
 
 
+def _generators(g: Poly) -> tuple[Poly, ...]:
+    """g*t^k for k < deg g, for a monic g of degree at least 1."""
+    if not g.is_monic:
+        raise NotMonic(f"expected a monic polynomial, got {g}")
+    e = g.degree
+    if e < 1:
+        raise ValueError("the generator must have degree at least 1")
+    return tuple(g * Poly.monomial(k) for k in range(e))
+
+
 def contraction_generators(g: Poly) -> GeneratorSet:
     """Generators g*t^k (k < deg g) of the subalgebra K + (g), certified.
 
@@ -104,13 +114,9 @@ def contraction_generators(g: Poly) -> GeneratorSet:
     from above. The degree sums are counted with integers, and any degree
     where the count misses the bound raises ``CertificateFailure``.
     """
-    if not g.is_monic:
-        raise NotMonic(f"expected a monic polynomial, got {g}")
-    e = g.degree
-    if e < 1:
-        raise ValueError("the generator must have degree at least 1")
+    generators = _generators(g)
+    e = len(generators)
     depth = 3 * e + 3
-    generators = tuple(g * Poly.monomial(k) for k in range(e))
 
     counts = _degree_sum_counts([gen.degree for gen in generators], depth)
     for d, achieved in enumerate(counts):
@@ -162,12 +168,8 @@ def subalgebra_membership(f: Poly, g: Poly) -> Union[MembershipCertificate, NotM
     answer reports the degree at which no product of generators can reach the
     leading term.
     """
-    if not g.is_monic:
-        raise NotMonic(f"expected a monic polynomial, got {g}")
-    e = g.degree
-    if e < 1:
-        raise ValueError("the generator must have degree at least 1")
-    generators = tuple(g * Poly.monomial(k) for k in range(e))
+    generators = _generators(g)
+    e = len(generators)
 
     remainder = f % g
     if remainder.degree > 0:

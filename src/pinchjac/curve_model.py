@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .algebra import P1Point, RatLike
+from .algebra import P1Point, RatLike, as_integer
 from .errors import (
     InvalidConfig,
     PositiveGenusUnsupported,
@@ -48,6 +48,8 @@ class Component:
     genus: int = 0
 
     def __post_init__(self):
+        genus = as_integer(self.genus, f"component {self.id}: genus")
+        object.__setattr__(self, "genus", genus)
         if self.genus < 0:
             raise ValueError(f"component {self.id}: genus must be nonnegative")
 
@@ -62,6 +64,8 @@ class Branch:
 
     def __post_init__(self):
         object.__setattr__(self, "point", P1Point.of(self.point))
+        multiplicity = as_integer(self.multiplicity, "branch multiplicity")
+        object.__setattr__(self, "multiplicity", multiplicity)
         if self.multiplicity < 1:
             raise ValueError("branch multiplicity must be positive")
 

@@ -10,16 +10,24 @@ Grammar ('#' starts a comment, blank lines are ignored):
     base <comp> at <point>
 
 where <point> is a rational literal a, a/b, or inf. ``node`` abbreviates two
-reduced branches and ``cusp`` one branch of multiplicity 2. Structural errors
-are reported with line and column; semantic checks (duplicate points,
-basepoints on branches, and so on) are left to curve_model.validate.
+reduced branches and ``cusp`` one branch of multiplicity 2.
+
+Structural errors are reported with line and column. The first one on a line
+ends that line: each ``expect_*`` step returns a value or records a
+diagnostic and raises ``_LineError``, which ``parse_curve_dsl`` catches once
+per line. Trailing tokens after a complete ``curve``, ``component`` or
+``base`` line are reported without ending it. Every line is read, so one
+parse reports each bad line. Semantic checks (duplicate points, basepoints
+on branches, and so on) are left to curve_model.validate.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from .algebra import INFINITY, P1Point
 from .curve_model import Branch, Component, CurveConfig, Singularity
@@ -73,12 +81,15 @@ def parse_point(text: str) -> P1Point | None:
 @dataclass(frozen=True)
 class _Token:
     text: str
-    line: int
     column: int
 
 
+class _LineError(Exception):
+    """Ends the current line; its diagnostic is already recorded."""
+
+
 class _LineParser:
-    """Cursor over the tokens of one line with diagnostic helpers."""
+    """Cursor over the tokens of one line; each expect_* returns a value or fails."""
 
     def __init__(self, tokens: list[_Token], line: int, diagnostics: list[Diagnostic]):
         self.tokens = tokens
@@ -99,89 +110,70 @@ class _LineParser:
             self.pos += 1
         return token
 
-    def fail(self, message: str, token: _Token | None = None) -> None:
+    def note(self, message: str, token: _Token | None = None) -> None:
+        """Record a diagnostic at the token, or just past the end of the line."""
+        token = token or self.peek()
         if token is None:
-            token = self.peek()
-        if token is None:
-            last = self.tokens[-1] if self.tokens else None
-            column = (last.column + len(last.text)) if last else 1
-            self.diagnostics.append(Diagnostic(self.line, column, "", message))
-        else:
-            self.diagnostics.append(
-                Diagnostic(self.line, token.column, token.text, message)
-            )
+            last = self.tokens[-1]
+            token = _Token("", last.column + len(last.text))
+        self.diagnostics.append(Diagnostic(self.line, token.column, token.text, message))
 
-    def expect_name(self, what: str) -> str | None:
+    def fail(self, message: str, token: _Token | None = None) -> NoReturn:
+        """Record a diagnostic and end the line."""
+        self.note(message, token)
+        raise _LineError
+
+    def expect_name(self, what: str) -> str:
         token = self.take()
         if token is None or not _NAME_RE.match(token.text):
             self.fail(f"expected {what}", token)
-            return None
         return token.text
 
-    def expect_keyword(self, keyword: str) -> bool:
+    def expect_keyword(self, keyword: str) -> str:
         token = self.take()
         if token is None or token.text != keyword:
             self.fail(f"expected {keyword!r}", token)
-            return False
-        return True
+        return keyword
 
-    def expect_point(self) -> P1Point | None:
+    def expect_point(self) -> P1Point:
         token = self.take()
         point = parse_point(token.text) if token is not None else None
         if point is None:
             self.fail("expected a point (rational literal or inf)", token)
-            return None
         return point
 
-    def expect_int(self, what: str, minimum: int) -> int | None:
+    def expect_int(self, what: str, minimum: int) -> int:
         token = self.take()
         if token is None or not token.text.isdecimal() or int(token.text) < minimum:
             self.fail(f"expected {what}", token)
-            return None
         return int(token.text)
 
     def expect_end(self) -> None:
         if not self.exhausted:
-            self.fail("unexpected trailing tokens")
+            self.note("unexpected trailing tokens")
 
 
-def _tokenize(line_text: str, line_number: int) -> list[_Token]:
+def _tokenize(line_text: str) -> list[_Token]:
     comment = line_text.find("#")
     if comment >= 0:
         line_text = line_text[:comment]
-    return [
-        _Token(m.group(0), line_number, m.start() + 1)
-        for m in _TOKEN_RE.finditer(line_text)
-    ]
+    return [_Token(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line_text)]
 
 
-def _parse_branch_group(parser: _LineParser, allow_mult: bool) -> Branch | None:
-    opener = parser.take()
-    if opener is None or opener.text != "(":
-        parser.fail("expected '('", opener)
-        return None
+def _parse_branch_group(parser: _LineParser, kind: str) -> Branch:
+    """One "(<comp> at <point> [mult <pos-int>])"; a cusp branch has multiplicity 2."""
+    parser.expect_keyword("(")
     component = parser.expect_name("a component id")
-    if component is None:
-        return None
-    if not parser.expect_keyword("at"):
-        return None
+    parser.expect_keyword("at")
     point = parser.expect_point()
-    if point is None:
-        return None
-    multiplicity = 1
+    multiplicity = 2 if kind == "cusp" else 1
     token = parser.peek()
     if token is not None and token.text == "mult":
-        if not allow_mult:
+        if kind != "pinch":
             parser.fail("mult is not allowed in this form")
-            return None
         parser.take()
         multiplicity = parser.expect_int("a positive multiplicity", 1)
-        if multiplicity is None:
-            return None
-    closer = parser.take()
-    if closer is None or closer.text != ")":
-        parser.fail("expected ')'", closer)
-        return None
+    parser.expect_keyword(")")
     return Branch(component, point, multiplicity)
 
 
@@ -195,87 +187,55 @@ def parse_curve_dsl(text: str) -> CurveDoc:
     seen_base: set[str] = set()
 
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, line_number)
+        tokens = _tokenize(raw)
         if not tokens:
             continue
         parser = _LineParser(tokens, line_number, diagnostics)
         head = parser.take()
+        with suppress(_LineError):
+            if head.text == "curve":
+                if name is not None:
+                    parser.fail("a curve was already named", head)
+                name = parser.expect_name("a curve name")
+                parser.expect_end()
 
-        if head.text == "curve":
-            if name is not None:
-                parser.fail("a curve was already named", head)
-                continue
-            parsed = parser.expect_name("a curve name")
-            if parsed is None:
-                continue
-            name = parsed
-            parser.expect_end()
+            elif head.text == "component":
+                component_id = parser.expect_name("a component id")
+                genus = 0
+                if not parser.exhausted:
+                    parser.expect_keyword("genus")
+                    genus = parser.expect_int("a nonnegative genus", 0)
+                parser.expect_end()
+                components.append(Component(component_id, genus))
 
-        elif head.text == "component":
-            component_id = parser.expect_name("a component id")
-            if component_id is None:
-                continue
-            genus = 0
-            if not parser.exhausted:
-                if not parser.expect_keyword("genus"):
-                    continue
-                genus = parser.expect_int("a nonnegative genus", 0)
-                if genus is None:
-                    continue
-            parser.expect_end()
-            components.append(Component(component_id, genus))
-
-        elif head.text == "sing":
-            sing_id = parser.expect_name("a singularity id")
-            if sing_id is None:
-                continue
-            kind = parser.take()
-            if kind is None or kind.text not in ("pinch", "node", "cusp"):
-                parser.fail("expected one of pinch, node, cusp", kind)
-                continue
-            branches: list[Branch] = []
-            ok = True
-            while not parser.exhausted and ok:
-                branch = _parse_branch_group(parser, allow_mult=kind.text == "pinch")
-                if branch is None:
-                    ok = False
-                    break
-                branches.append(branch)
-            if not ok:
-                continue
-            if kind.text == "node":
-                if len(branches) != 2:
+            elif head.text == "sing":
+                sing_id = parser.expect_name("a singularity id")
+                kind = parser.take()
+                if kind is None or kind.text not in ("pinch", "node", "cusp"):
+                    parser.fail("expected one of pinch, node, cusp", kind)
+                branches = []
+                while not parser.exhausted:
+                    branches.append(_parse_branch_group(parser, kind.text))
+                if kind.text == "node" and len(branches) != 2:
                     parser.fail("node requires exactly two branches", kind)
-                    continue
-            elif kind.text == "cusp":
-                if len(branches) != 1:
+                if kind.text == "cusp" and len(branches) != 1:
                     parser.fail("cusp requires exactly one branch", kind)
-                    continue
-                b = branches[0]
-                branches = [Branch(b.component, b.point, 2)]
-            elif not branches:
-                parser.fail("pinch requires at least one branch", kind)
-                continue
-            singularities.append(Singularity(sing_id, tuple(branches)))
+                if kind.text == "pinch" and not branches:
+                    parser.fail("pinch requires at least one branch", kind)
+                singularities.append(Singularity(sing_id, tuple(branches)))
 
-        elif head.text == "base":
-            component_id = parser.expect_name("a component id")
-            if component_id is None:
-                continue
-            if not parser.expect_keyword("at"):
-                continue
-            point = parser.expect_point()
-            if point is None:
-                continue
-            parser.expect_end()
-            if component_id in seen_base:
-                parser.fail(f"duplicate basepoint for component {component_id!r}", head)
-                continue
-            seen_base.add(component_id)
-            basepoints.append((component_id, point))
+            elif head.text == "base":
+                component_id = parser.expect_name("a component id")
+                parser.expect_keyword("at")
+                point = parser.expect_point()
+                parser.expect_end()
+                if component_id in seen_base:
+                    parser.fail(f"duplicate basepoint for component {component_id!r}", head)
+                seen_base.add(component_id)
+                basepoints.append((component_id, point))
 
-        else:
-            parser.fail("unknown directive", head)
+            else:
+                parser.fail("unknown directive", head)
 
     if name is None:
         diagnostics.append(Diagnostic(1, 1, "", "missing 'curve <name>' line"))

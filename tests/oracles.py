@@ -3,8 +3,9 @@
 None of this is library code: the Abel-Jacobi closed form builds no jet, and
 nothing in `pinchjac` inverts a jet or takes an exponential. These functions
 give the series the closed form must agree with, computed the long way: the
-jet of a rational function by series division, the jet inverse by the
-triangular recurrence, and the truncated exponential by its power sum.
+jet of a rational function by series division (after a Taylor shift), the
+jet inverse by the triangular recurrence, and the truncated exponential by
+its power sum.
 Tests import them with `from oracles import ...`.
 """
 
@@ -18,6 +19,16 @@ from pinchjac.errors import NonUnit, OrderNonpositive, PinchjacError
 
 class DenominatorVanishes(PinchjacError):
     """The denominator of a rational function vanishes at the chosen center."""
+
+
+def poly_shifted(p: Poly, a) -> Poly:
+    """Coefficients of p(s + a): the expansion of p around the point a."""
+    a = Fraction(a)
+    out = Poly.zero()
+    s_plus_a = Poly((a, 1))
+    for c in reversed(p.coeffs):
+        out = out * s_plus_a + Poly.constant(c)
+    return out
 
 
 def jet_inverse(jet: Jet) -> Jet:
@@ -70,8 +81,8 @@ def jet_of_rational_function(numerator: Poly, denominator: Poly,
         valuation = dd - dn
     else:
         a = center.value
-        num_local = numerator.shifted(a)
-        den_local = denominator.shifted(a)
+        num_local = poly_shifted(numerator, a)
+        den_local = poly_shifted(denominator, a)
         if den_local.coefficient(0) == 0:
             raise DenominatorVanishes(f"denominator vanishes at {center}")
         valuation = 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,7 @@ from pinchjac.curve_model import (
     is_smooth_point,
     validate,
 )
+from pinchjac.dsl import parse_curve_dsl, print_curve_dsl
 from pinchjac.errors import (
     InvalidConfig,
     PositiveGenusUnsupported,
@@ -229,6 +231,33 @@ def test_fingerprint_tracks_structure():
     moved = replace(a, basepoints=(("L", _pt(7)),))
     assert moved.fingerprint() != a.fingerprint()
 
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(5, 2), 2.5, Fraction(3, 2)], ids=["five_halves", "float", "three_halves"]
+)
+def test_non_integral_multiplicity_and_genus_are_refused(value):
+    # unchecked, such a value passes validate, then aj_eval raises TypeError,
+    # the abelian rank comes out fractional, and the printed "mult 5/2" or
+    # "genus 3/2" does not parse back
+    with pytest.raises(ValueError, match="must be an integer"):
+        Branch("L", 0, value)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Component("E", value)
+
+
+def test_integral_multiplicity_and_genus_are_plain_ints():
+    cusp = CurveConfig(
+        "cuspidal",
+        (Component("L", Fraction(0)),),
+        (Singularity("s", (Branch("L", 0, Fraction(2)),)),),
+        (("L", INFINITY),),
+    )
+    assert cusp == cuspidal_cubic()
+    assert cusp.fingerprint() == cuspidal_cubic().fingerprint()
+    assert type(cusp.singularities[0].branches[0].multiplicity) is int
+    assert Branch("L", 0, True).multiplicity == 1 and Component("E", True).genus == 1
+    assert parse_curve_dsl(print_curve_dsl(cusp)).config == cusp
 
 # --------------------------------------------------------------------------
 # Stored facts against linear scans

@@ -75,7 +75,7 @@ GONE = ("jet_of_rational_function", "unit_exp", "DenominatorVanishes", "with_bas
         "_branch_identity_map", "FieldElem")
 GONE_ATTRIBUTES = {
     "algebra.Jet": ("inverse", "__pow__"),
-    "algebra.Poly": ("from_roots", "x", "reversed_coeffs", "__floordiv__"),
+    "algebra.Poly": ("from_roots", "x", "reversed_coeffs", "__floordiv__", "shifted"),
     "jacobian.UnitJetVector": ("inverse",),
     "curve_model.Singularity": ("branch_count",),
     "dsl.CurveDoc": ("line_of",),
