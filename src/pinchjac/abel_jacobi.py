@@ -8,9 +8,9 @@ c, with local parameter s, each factor t - a is a constant times 1 - u s,
 where u = 1/(a - c) over a finite c and u = a over infinity. So the branch
 value is the product of (c - a)^k (1 over infinity, where the powers of s
 cancel because the degree is zero), and the s^n log coefficient is
--(1/n) sum k u^n. Only branches on the divisor's own components get entries;
-``branch_class`` normalizes them. The scalar ambiguity lies in the reduction
-kernel, so the class is well defined.
+-(1/n) sum k u^n. Only branches on the divisor's own components get entries.
+The scalar ambiguity lies in the reduction kernel, so the class is well
+defined. ``aj_eval`` is the class of [point] - [basepoint].
 
 The module also carries the two standard cubic parametrizations and an exact
 collision probe for Abel-Jacobi maps over finite samples.
@@ -87,23 +87,6 @@ def _branch_log(
     return value, (Fraction(0),) + logs
 
 
-def _class(
-    config: CurveConfig,
-    presentation: JacobianPresentation,
-    support: dict[str, list[tuple[P1Point, int]]],
-) -> JacElement:
-    """Class of a checked divisor: its points with nonzero coefficient per component."""
-    values = {}
-    unipotent = {}
-    for s in config.singularities:
-        for i, b in enumerate(s.branches):
-            points = support.get(b.component)
-            if points:
-                values[(s.id, i)], logs = _branch_log(points, b.point, b.multiplicity)
-                unipotent.update(((s.id, i, n), logs[n]) for n in range(1, b.multiplicity))
-    return branch_class(config, presentation, values, unipotent)
-
-
 def divisor_class(
     config: CurveConfig, presentation: JacobianPresentation, divisor: SmoothDivisor
 ) -> JacElement:
@@ -128,7 +111,15 @@ def divisor_class(
             raise NonzeroDegree(
                 f"divisor has degree {degree} on component {component_id!r}"
             )
-    return _class(config, presentation, support)
+    values = {}
+    unipotent = {}
+    for s in config.singularities:
+        for i, b in enumerate(s.branches):
+            points = support.get(b.component)
+            if points:
+                values[(s.id, i)], logs = _branch_log(points, b.point, b.multiplicity)
+                unipotent.update(((s.id, i, n), logs[n]) for n in range(1, b.multiplicity))
+    return branch_class(config, presentation, values, unipotent)
 
 
 def aj_eval(
@@ -150,9 +141,9 @@ def aj_eval(
     if not is_smooth_point(config, component_id, point):
         raise PointNotSmooth(f"({component_id}, {point}) is a branch point")
     base = config.basepoint(component_id)
-    _require_genus_zero(config)
-    support = {component_id: [(point, 1), (base, -1)]} if base != point else {}
-    return _class(config, presentation, support)
+    return divisor_class(
+        config, presentation, SmoothDivisor(((component_id, point, 1), (component_id, base, -1)))
+    )
 
 
 @dataclass(frozen=True)

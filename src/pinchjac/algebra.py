@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Iterable, Union
 
 from .errors import NonUnit, OrderMismatch, OrderNonpositive
@@ -32,11 +33,18 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _as_number(value, what: str) -> Fraction:
+    """The exact rational a number stands for; TypeError for anything else, strings included."""
+    if not isinstance(value, Number):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return Fraction(value)
+
+
 def as_integer(value, what: str) -> int:
     """The integer a value stands for; ValueError rather than truncating 5/2 or 1.9."""
     if type(value) is int:
         return value
-    exact = Fraction(value)
+    exact = _as_number(value, what)
     if exact.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {value}")
     return exact.numerator
@@ -54,7 +62,7 @@ class P1Point:
 
     @classmethod
     def finite(cls, value: RatLike) -> "P1Point":
-        return cls(Fraction(value))
+        return cls(_as_number(value, "a point"))
 
     @classmethod
     def infinity(cls) -> "P1Point":

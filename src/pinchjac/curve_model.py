@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from .algebra import P1Point, RatLike, as_integer
 from .errors import (
@@ -38,6 +38,10 @@ BASEPOINT_NOT_SMOOTH = "BasepointNotSmooth"
 DUPLICATE_BASEPOINT = "DuplicateBasepoint"
 TOTAL_MULTIPLICITY_TOO_LOW = "TotalMultiplicityTooLow"
 POSITIVE_GENUS_THICK_BRANCH = "PositiveGenusThickBranch"
+INVALID_ID = "InvalidId"
+
+# The ids the curve-file format reads, so every valid configuration prints and parses back.
+ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,12 @@ def _find_violations(config: CurveConfig) -> tuple[Violation, ...]:
                 )
             )
 
+    ids = [("curve name", config.name)] + [("component", c.id) for c in config.components]
+    for what, name in ids + [("singularity", s.id) for s in config.singularities]:
+        if not (isinstance(name, str) and ID_PATTERN.fullmatch(name)):
+            message = f"{what} {name!r} is not of the form {ID_PATTERN.pattern}"
+            out.append(Violation(INVALID_ID, message))
+
     return tuple(out)
 
 
@@ -309,53 +319,42 @@ def spanning_forest(
     return tuple(forest), {v: find(v) for v in parent}
 
 
-def forest_parents(
-    ends: Mapping[Edge, tuple[Vertex, Vertex]], forest: Iterable[Edge]
-) -> dict[Vertex, tuple[Vertex | None, Edge | None]]:
-    """Parent vertex and parent edge of every vertex on a forest edge, parents first.
+def fundamental_cycles(config: CurveConfig, forest: tuple[Edge, ...]) -> dict[Edge, dict[Edge, int]]:
+    """Exponent vector of the cycle each non-forest edge closes through the
+    forest, for every non-forest edge in configuration order.
 
-    Each tree is rooted at its first vertex in forest order; roots map to
-    (None, None).
+    Edges are oriented component -> singularity; a cycle runs through its
+    non-forest edge positively and back through the forest. One breadth-first
+    pass roots each tree at its first vertex in forest order and records the
+    parent and depth of every vertex; both ends of a non-forest edge then climb
+    the parent pointers to their common ancestor.
     """
+    ends = branch_edges(config)
     adjacency: dict[Vertex, list[tuple[Edge, Vertex]]] = {}
     for edge in forest:
         u, v = ends[edge]
         adjacency.setdefault(u, []).append((edge, v))
         adjacency.setdefault(v, []).append((edge, u))
-    parents: dict[Vertex, tuple[Vertex | None, Edge | None]] = {}
+    parents: dict[Vertex, tuple[Vertex, Edge]] = {}
+    depth: dict[Vertex, int] = {}
     for root in adjacency:
-        if root in parents:
+        if root in depth:
             continue
-        parents[root] = (None, None)
+        depth[root] = 0
         queue = [root]
         for v in queue:  # breadth first; the queue grows while it is read
             for edge, w in adjacency[v]:
-                if w not in parents:
+                if w not in depth:
                     parents[w] = (v, edge)
+                    depth[w] = depth[v] + 1
                     queue.append(w)
-    return parents
-
-
-def fundamental_cycles(
-    ends: Mapping[Edge, tuple[Vertex, Vertex]],
-    forest: Iterable[Edge],
-    edges: Iterable[Edge],
-) -> dict[Edge, dict[Edge, int]]:
-    """Exponent vector of the cycle each non-forest edge closes through the forest.
-
-    Edges are oriented component -> singularity; a cycle runs through its
-    non-forest edge positively and back through the forest. Both ends climb the
-    parent pointers to their common ancestor.
-    """
-    parents = forest_parents(ends, forest)
-    depth: dict[Vertex, int] = {}
-    for v, (p, _) in parents.items():
-        depth[v] = 0 if p is None else depth[p] + 1
+    tree = set(forest)
     cycles = {}
-    for edge in edges:
+    for edge, (a, b) in ends.items():
+        if edge in tree:
+            continue
         # the forest path runs from the singularity end b down to the
         # component end a; a step counts +1 when it goes component -> singularity
-        a, b = ends[edge]
         cycle = {edge: 1}
         while a != b:
             if depth[a] >= depth[b]:
@@ -377,13 +376,11 @@ def bridges(config: CurveConfig) -> frozenset[Edge]:
     singularity on one component) are never bridges, since the one left out of
     the forest closes a cycle through the other.
     """
-    ends = branch_edges(config)
     forest, _ = spanning_forest(config)
-    tree = set(forest)
     on_cycle = set()
-    for cycle in fundamental_cycles(ends, forest, [e for e in ends if e not in tree]).values():
+    for cycle in fundamental_cycles(config, forest).values():
         on_cycle.update(cycle)
-    return frozenset(tree - on_cycle)
+    return frozenset(set(forest) - on_cycle)
 
 
 def dual_graph(config: CurveConfig) -> DualGraph:

@@ -30,10 +30,9 @@ from fractions import Fraction
 from typing import NoReturn
 
 from .algebra import INFINITY, P1Point
-from .curve_model import Branch, Component, CurveConfig, Singularity
+from .curve_model import ID_PATTERN, Branch, Component, CurveConfig, Singularity
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
@@ -125,7 +124,7 @@ class _LineParser:
 
     def expect_name(self, what: str) -> str:
         token = self.take()
-        if token is None or not _NAME_RE.match(token.text):
+        if token is None or not ID_PATTERN.fullmatch(token.text):
             self.fail(f"expected {what}", token)
         return token.text
 

@@ -12,26 +12,27 @@ arithmetic.
 A degree-zero class is represented by a unit jet at every branch (the value
 of a rational function along the fibers of the normalization). ``class_reduce``
 maps such a vector to canonical coordinates: unipotent coordinates are log
-coefficients, and torus coordinates are branch values after the unique
-vertex-scalar normalization that makes every spanning-forest edge value 1
+coefficients, and the torus coordinate of a non-forest edge is the product of
+the branch values around its fundamental cycle, each raised to its exponent
 (``branch_class``, which also serves classes given by branch values directly).
-Within a singularity this reduces to the ratio convention value(b_i)/value(b_0)
-against the first-listed branch.
+Vertex scalars cancel around a cycle, so this is the value at that edge once
+every spanning-forest edge value is scaled to 1. Within a singularity it is
+the ratio value(b_i)/value(b_0) against the first-listed branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Mapping
 
 from .algebra import Jet, rational_str, unit_log
 from .curve_model import (
     CurveConfig,
     Edge,
-    Vertex,
     branch_edges,
-    forest_parents,
+    fundamental_cycles,
     require_valid,
     spanning_forest,
 )
@@ -237,23 +238,15 @@ def branch_class(
     unipotent coordinates.
 
     A branch missing from ``values`` has value 1, and a unipotent basis
-    element missing from ``unipotent`` has coordinate 0. One scalar per
-    dual-graph vertex is solved for so that every spanning-forest edge value
-    becomes 1; the torus coordinates are the normalized values at the
-    remaining edges.
+    element missing from ``unipotent`` has coordinate 0. Each torus coordinate
+    is the product of the branch values around the fundamental cycle of its
+    torus-basis edge, each raised to its exponent.
     """
     if presentation.config_fingerprint != config.fingerprint():
         raise PresentationMismatch("presentation was computed from a different config")
-    ends = branch_edges(config)
-    # Any root works: rescaling a tree's root multiplies the scalars of one
-    # side of the bipartite tree by a constant and the other side by its
-    # inverse, which leaves every product scalar[C] * scalar[S] unchanged.
-    scalar: dict[Vertex, Fraction] = {}
-    for v, (p, edge) in forest_parents(ends, presentation.spanning_forest).items():
-        scalar[v] = Fraction(1) if p is None else 1 / (values.get(edge, 1) * scalar[p])
-
+    cycles = fundamental_cycles(config, presentation.spanning_forest)
     torus = tuple(
-        values.get(edge, 1) * scalar[ends[edge][0]] * scalar[ends[edge][1]]
+        prod((values[e] ** k for e, k in cycles[edge].items() if e in values), start=Fraction(1))
         for edge in presentation.torus_basis
     )
     coords = tuple(unipotent.get(key, 0) for key in presentation.unipotent_basis)
@@ -266,10 +259,9 @@ def class_reduce(
     """Canonical coordinates of the class represented by a unit-jet vector.
 
     Unipotent coordinates are the truncated-log coefficients of the branch
-    jets, and the branch values are the jets' constant terms; ``branch_class``
-    normalizes them. The kernel is exactly the vectors of the form
-    (constant per component) * (constant per singularity) with trivial higher
-    jets.
+    jets, and the branch values are the jets' constant terms. The kernel is
+    exactly the vectors of the form (constant per component) * (constant per
+    singularity) with trivial higher jets.
     """
     # checked before the presentation's unipotent basis indexes the jets
     if presentation.config_fingerprint != config.fingerprint():

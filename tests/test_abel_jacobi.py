@@ -23,7 +23,7 @@ from pinchjac.abel_jacobi import (
     nodal_param,
     param_inverse,
 )
-from oracles import jet_of_rational_function
+from oracles import forest_normalized_torus, jet_of_rational_function
 from pinchjac.algebra import INFINITY, P1Point, Poly, unit_log
 from pinchjac.builders import (
     cuspidal_cubic,
@@ -515,6 +515,45 @@ def test_divisor_class_matches_class_reduce_of_the_function_jets(case):
     presentation = jacobian_structure(config)
     expected = class_reduce(config, presentation, _function_vector(config, divisor))
     assert divisor_class(config, presentation, divisor) == expected
+
+
+@st.composite
+def _ring_config_and_divisor(draw):
+    """Two to four lines joined in a ring by nodes, so one cycle runs through
+    every line, plus up to three more singularities with branches of
+    multiplicity up to 3; a degree-zero divisor with negative coefficients on
+    the remaining points. Branch centers and divisor points can be at infinity."""
+    n = draw(st.integers(2, 4))
+    free = {c: list(draw(st.permutations(_POOL))) for c in range(n)}
+    singularities = [
+        Singularity(f"r{c}", (Branch(f"L{c}", free[c].pop()), Branch(f"L{d}", free[d].pop())))
+        for c, d in ((c, (c + 1) % n) for c in range(n))
+    ]
+    for j in range(draw(st.integers(0, 3))):
+        on = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        branches = [Branch(f"L{c}", free[c].pop(), draw(st.integers(1, 3))) for c in on]
+        if sum(b.multiplicity for b in branches) < 2:
+            branches[0] = Branch(branches[0].component, branches[0].point, 2)
+        singularities.append(Singularity(f"s{j}", tuple(branches)))
+    entries = []
+    for c in range(n):
+        smooth = free[c][:draw(st.integers(0, 4))]
+        coefficients = [draw(st.integers(-3, 3)) for _ in smooth]
+        if smooth:
+            coefficients[-1] -= sum(coefficients)
+        entries += [(f"L{c}", p, k) for p, k in zip(smooth, coefficients)]
+    config = CurveConfig("ring", tuple(Component(f"L{c}") for c in range(n)), tuple(singularities))
+    return config, SmoothDivisor.of(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_config_and_divisor())
+def test_torus_coordinates_match_the_vertex_scalar_solve(case):
+    config, divisor = case
+    presentation = jacobian_structure(config)
+    values = {(s, i): jet.constant_term for s, i, jet in _function_vector(config, divisor).entries}
+    expected = forest_normalized_torus(config, presentation, values)
+    assert divisor_class(config, presentation, divisor).torus_coords == expected
 
 
 def test_aj_path_takes_no_log(monkeypatch):

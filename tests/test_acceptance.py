@@ -10,11 +10,14 @@ fresh one.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pinchjac.cli import main
 from pinchjac.verify import CRITERIA, run_all
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,11 @@ def test_criterion(checker, seed_0_results, capsys):
 
 
 def test_criterion_9_verify_command(capsys):
+    """`verify --seed 0` stdout, byte for byte against tests/golden/verify_seed0.json.
+
+    A change that means to alter it re-records with
+    `python -m pinchjac.cli verify --seed 0 > tests/golden/verify_seed0.json` and says why.
+    """
     code = main(["verify", "--seed", "0"])
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -42,6 +50,14 @@ def test_criterion_9_verify_command(capsys):
     assert code == 0
     assert payload["all_passed"] is True
     assert [c["criterion"] for c in payload["criteria"]] == list(range(1, 9))
+    assert captured.out == (GOLDEN / "verify_seed0.json").read_text(encoding="utf-8")
+
+
+def test_verify_seed_3_stdout_is_recorded(capsys):
+    """Re-record with
+    `python -m pinchjac.cli verify --seed 3 > tests/golden/verify_seed3.json`."""
+    assert main(["verify", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_seed3.json").read_text(encoding="utf-8")
 
 
 def test_suite_is_deterministic(seed_0_results):

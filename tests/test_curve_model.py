@@ -17,12 +17,14 @@ from pinchjac.builders import (
     two_lines,
     two_nodes_pair,
 )
+from pinchjac.contraction import finite_subscheme
 from pinchjac.curve_model import (
     BASEPOINT_NOT_SMOOTH,
     DUPLICATE_BASEPOINT,
     DUPLICATE_BRANCH_POINT,
     DUPLICATE_COMPONENT_ID,
     DUPLICATE_SINGULARITY_ID,
+    INVALID_ID,
     POSITIVE_GENUS_THICK_BRANCH,
     UNKNOWN_COMPONENT,
     Branch,
@@ -258,6 +260,45 @@ def test_integral_multiplicity_and_genus_are_plain_ints():
     assert type(cusp.singularities[0].branches[0].multiplicity) is int
     assert Branch("L", 0, True).multiplicity == 1 and Component("E", True).genus == 1
     assert parse_curve_dsl(print_curve_dsl(cusp)).config == cusp
+
+
+STRING_INPUTS = {
+    "branch_point": lambda: Branch("L", "3"),
+    "branch_multiplicity": lambda: Branch("L", 0, "2"),
+    "genus": lambda: Component("E", "1"),
+    "divisor_point": lambda: SmoothDivisor.of([("L", "2", 1), ("L", 3, -1)]),
+    "divisor_coefficient": lambda: SmoothDivisor.of([("L", 2, "1"), ("L", 3, -1)]),
+    "subscheme_point": lambda: finite_subscheme([("1/2", 2), (0, 1)]),
+    "subscheme_multiplicity": lambda: finite_subscheme([(0, "2"), (1, 1)]),
+    "aj_point": lambda: aj_eval(nodal_cubic(), jacobian_structure(nodal_cubic()), "L", "2"),
+}
+
+
+@pytest.mark.parametrize("build", STRING_INPUTS.values(), ids=STRING_INPUTS)
+def test_strings_are_not_numbers(build):
+    # Fraction() parses strings, so "2" used to pass as the number 2
+    with pytest.raises(TypeError, match="must be a number, got '"):
+        build()
+
+
+def test_numbers_of_every_exact_kind_are_accepted():
+    for two in (2, Fraction(2), 2.0):
+        assert Branch("L", two, two) == Branch("L", P1Point.finite(2), 2)
+    assert Branch("L", True, True) == Branch("L", 1)
+    divisor = SmoothDivisor.of([("L", Fraction(1, 2), True), ("L", 3, -1)])
+    assert divisor.entries[0] == ("L", P1Point.finite(Fraction(1, 2)), 1)
+
+
+def test_invalid_ids_are_violations():
+    # the parser reads only these ids, so the printed text of any other would not parse back
+    for config in (CurveConfig("my curve", (Component("L"),)),
+                   CurveConfig("c", (Component("L 1"),)),
+                   CurveConfig("c", (Component("L\n"),)),
+                   CurveConfig("c", (Component("L"),), (Singularity("s-1", (Branch("L", 0, 2),)),))):
+        assert [v.kind for v in validate(config)] == [INVALID_ID]
+        with pytest.raises(InvalidConfig):
+            jacobian_structure(config)
+
 
 # --------------------------------------------------------------------------
 # Stored facts against linear scans

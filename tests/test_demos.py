@@ -1,4 +1,9 @@
-"""Every script in demos/, and the README's library tour, runs as the README says."""
+"""Every script in demos/, and the README's library tour, runs as the README says.
+
+Each demo's stdout is compared byte for byte with tests/golden/demo_<name>.txt.
+A change that means to alter it re-records with
+`PYTHONPATH=src python demos/<name>.py > tests/golden/demo_<name>.txt` and says why.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def test_demos_exist():
@@ -33,6 +39,7 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_text(encoding="utf-8")
 
 
 def test_readme_library_tour_ends_true():

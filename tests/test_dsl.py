@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,15 @@ from pinchjac.builders import (
     two_lines,
     two_nodes_pair,
 )
-from pinchjac.curve_model import Branch, Component, CurveConfig, Singularity, validate
+from pinchjac.curve_model import (
+    ID_PATTERN,
+    INVALID_ID,
+    Branch,
+    Component,
+    CurveConfig,
+    Singularity,
+    validate,
+)
 from pinchjac.dsl import (
     DslParseError,
     parse_curve_dsl,
@@ -214,7 +223,10 @@ def test_print_round_trip_on_random_configs():
 
 _FIRST = string.ascii_letters + "_"
 _NAMES = st.builds(str.__add__, st.sampled_from(_FIRST),
-                   st.text(_FIRST + string.digits, max_size=5))  # matches dsl._NAME_RE
+                   st.text(_FIRST + string.digits, max_size=5))  # matches ID_PATTERN
+# ids the parser cannot read: a space, a trailing newline, a leading digit, ...
+_BAD_NAMES = st.one_of(st.sampled_from(["", "L 1", "L\n", "1L", "a-b", "\u00e9"]),
+                       st.text(max_size=6)).filter(lambda name: not ID_PATTERN.fullmatch(name))
 _POINTS = st.one_of(
     st.just(INFINITY),
     st.builds(P1Point.finite, st.fractions(min_value=-20, max_value=20, max_denominator=9)),
@@ -254,6 +266,38 @@ def test_print_round_trip_on_drawn_configs(config):
     reparsed = parse_curve_dsl(print_curve_dsl(config)).config
     assert reparsed == config
     assert reparsed.fingerprint() == config.fingerprint()
+
+
+def _renamed(config: CurveConfig, where: str, bad: str) -> CurveConfig:
+    """The configuration with its name, first component or first singularity
+    renamed to ``bad``, every reference included (the name when it has no
+    singularity)."""
+    if where == "component":
+        old = config.components[0].id
+        rename = {old: bad}.get
+        return CurveConfig(
+            config.name,
+            tuple(replace(c, id=rename(c.id, c.id)) for c in config.components),
+            tuple(Singularity(s.id, tuple(replace(b, component=rename(b.component, b.component))
+                                          for b in s.branches)) for s in config.singularities),
+            tuple((rename(c, c), p) for c, p in config.basepoints),
+        )
+    if where == "singularity" and config.singularities:
+        first, *rest = config.singularities
+        return replace(config, singularities=(replace(first, id=bad), *rest))
+    return replace(config, name=bad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_valid_configs(), st.sampled_from(("name", "component", "singularity")), _BAD_NAMES)
+def test_ids_the_parser_cannot_read_are_violations(config, where, bad):
+    renamed = _renamed(config, where, bad)
+    assert [v.kind for v in validate(renamed)] == [INVALID_ID]
+    # and the reason: its printed text does not parse back to it
+    try:
+        assert parse_curve_dsl(print_curve_dsl(renamed)).config != renamed
+    except DslParseError:
+        pass
 
 
 def test_fuzz_inputs_never_crash():

@@ -72,7 +72,7 @@ HOMES = {name: module for module, names in EXPORTS.items() for name in names}
 # that nothing in the library used. None may come back into src/.
 GONE = ("jet_of_rational_function", "unit_exp", "DenominatorVanishes", "with_basepoints",
         "LocalUnitQuotient", "local_unit_quotient", "change_of_basis", "ClassTransport",
-        "_branch_identity_map", "FieldElem")
+        "_branch_identity_map", "FieldElem", "forest_parents")
 GONE_ATTRIBUTES = {
     "algebra.Jet": ("inverse", "__pow__"),
     "algebra.Poly": ("from_roots", "x", "reversed_coeffs", "__floordiv__", "shifted"),

@@ -22,8 +22,6 @@ from pinchjac.curve_model import (
     Component,
     CurveConfig,
     Singularity,
-    branch_edges,
-    fundamental_cycles,
 )
 from pinchjac.errors import (
     InvalidConfig,
@@ -42,6 +40,7 @@ from pinchjac.jacobian import (
     jacobian_structure,
     unit_jet_vector,
 )
+from oracles import forest_normalized_torus
 
 
 def _pt(v) -> P1Point:
@@ -118,7 +117,7 @@ def test_offdiagonal_value_on_two_node_pair():
     element = class_reduce(config, presentation, unit_jet_vector(config, jets))
     assert presentation.torus_basis == (("n2", 1),)
     assert element.torus_coords == (1 / q,)
-    # the same vector read through the multiplicative-system oracle
+    # the same vector read through the vertex-scalar oracle
     assert _oracle_coordinates(config, presentation, jets) == element.torus_coords
 
 
@@ -250,17 +249,8 @@ def _oracle_kernel(config: CurveConfig, vector) -> bool:
 
 def _oracle_coordinates(config, presentation, jets):
     vector = unit_jet_vector(config, jets)
-    cycles = fundamental_cycles(
-        branch_edges(config), presentation.spanning_forest, presentation.torus_basis
-    )
-    coords = []
-    for edge in presentation.torus_basis:
-        cycle = cycles[edge]
-        value = Fraction(1)
-        for other, exponent in cycle.items():
-            value *= vector.jet(*other).constant_term ** exponent
-        coords.append(value)
-    return tuple(coords)
+    values = {(s, i): jet.constant_term for s, i, jet in vector.entries}
+    return forest_normalized_torus(config, presentation, values)
 
 
 def test_kernel_matches_bruteforce_solvability():
