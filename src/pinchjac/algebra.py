@@ -2,6 +2,11 @@
 
 All values are built on `fractions.Fraction`, so every operation is exact and
 arbitrary precision; no floating point occurs anywhere in the package.
+Products of polynomials and of jets share one convolution kernel: it scales
+each operand to integer numerators over the least common multiple of its
+denominators, sums the products as Python ints, and divides each output
+coefficient once by the product of the two denominators. Every coefficient
+stored or returned is a canonical `Fraction`.
 
 A polynomial is a tuple of coefficients indexed by degree with a nonzero
 leading coefficient (the zero polynomial is the empty tuple). A jet of order
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Number
 from typing import Iterable, Union
 
@@ -38,6 +44,10 @@ def _as_number(value, what: str) -> Fraction:
     if not isinstance(value, Number):
         raise TypeError(f"{what} must be a number, got {value!r}")
     return Fraction(value)
+
+
+def _coefficients(coeffs: Iterable[RatLike]) -> list[Fraction]:
+    return [c if type(c) is Fraction else _as_number(c, "a coefficient") for c in coeffs]
 
 
 def as_integer(value, what: str) -> int:
@@ -91,7 +101,7 @@ INFINITY = P1Point.infinity()
 # --------------------------------------------------------------------------
 
 def _strip(coeffs: Iterable[RatLike]) -> tuple[Fraction, ...]:
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    out = _coefficients(coeffs)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -109,6 +119,23 @@ def _power(base, n: int):
         if bit == "1":
             result = result * base
     return result
+
+
+def _convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...], size: int) -> tuple[Fraction, ...]:
+    """The first ``size`` coefficients of the product of the series a and b,
+    summed on integer numerators over each operand's common denominator."""
+    da = lcm(*(c.denominator for c in a))
+    db = lcm(*(c.denominator for c in b))
+    na = [c.numerator * (da // c.denominator) for c in a]
+    nb = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * size
+    for i, x in enumerate(na):
+        if x == 0:
+            continue
+        for k, y in enumerate(nb[: size - i], i):
+            out[k] += x * y
+    d = da * db
+    return tuple(Fraction(n, d) for n in out)
 
 
 @dataclass(frozen=True)
@@ -132,7 +159,7 @@ class Poly:
 
     @classmethod
     def constant(cls, c: RatLike) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def monomial(cls, degree: int) -> "Poly":
@@ -182,15 +209,13 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", RatLike]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if isinstance(other, Poly):
+            a, b = self.coeffs, other.coeffs
+            return Poly(_convolve(a, b, len(a) + len(b)))
+        if not isinstance(other, Number):
+            return NotImplemented
+        factor = _as_number(other, "a factor")
+        return Poly(tuple(c * factor for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -216,9 +241,10 @@ class Poly:
         return divmod(self, divisor)[1]
 
     def __call__(self, point: RatLike) -> Fraction:
+        point = _as_number(point, "a point")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * Fraction(point) + c
+            acc = acc * point + c
         return acc
 
     def __str__(self) -> str:
@@ -246,16 +272,6 @@ class Poly:
 # Jets
 # --------------------------------------------------------------------------
 
-def _series_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...], order: int) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * order
-    for i, ai in enumerate(a[:order]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order - i]):
-            out[i + j] += ai * bj
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Jet:
     """Truncated function germ: ``coeffs[k]`` is the coefficient of s^k, k < order."""
@@ -266,14 +282,14 @@ class Jet:
     def __post_init__(self):
         if self.order < 1:
             raise OrderNonpositive(f"jet order must be >= 1, got {self.order}")
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+        coeffs = tuple(_coefficients(self.coeffs))
         if len(coeffs) != self.order:
             raise ValueError(f"expected {self.order} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, order: int, coeffs: Iterable[RatLike] = ()) -> "Jet":
-        out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        out = _coefficients(coeffs)
         if order < 1:
             raise OrderNonpositive(f"jet order must be >= 1, got {order}")
         if len(out) > order:
@@ -283,7 +299,7 @@ class Jet:
 
     @classmethod
     def constant(cls, value: RatLike, order: int) -> "Jet":
-        return cls.make(order, (Fraction(value),))
+        return cls.make(order, (value,))
 
     @property
     def constant_term(self) -> Fraction:
@@ -312,10 +328,13 @@ class Jet:
         return self + (-other)
 
     def __mul__(self, other: Union["Jet", RatLike]) -> "Jet":
-        if isinstance(other, (int, Fraction)):
-            return Jet(self.order, tuple(c * other for c in self.coeffs))
-        self._check_order(other)
-        return Jet(self.order, _series_mul(self.coeffs, other.coeffs, self.order))
+        if isinstance(other, Jet):
+            self._check_order(other)
+            return Jet(self.order, _convolve(self.coeffs, other.coeffs, self.order))
+        if not isinstance(other, Number):
+            return NotImplemented
+        factor = _as_number(other, "a factor")
+        return Jet(self.order, tuple(c * factor for c in self.coeffs))
 
     __rmul__ = __mul__
 

@@ -5,7 +5,9 @@ nothing in `pinchjac` inverts a jet or takes an exponential. These functions
 give the series the closed form must agree with, computed the long way: the
 jet of a rational function by series division (after a Taylor shift), the
 jet inverse by the triangular recurrence, and the truncated exponential by
-its power sum. Two graph oracles walk the dual graph themselves:
+its power sum. `fraction_product` multiplies two series with one `Fraction`
+multiply and add per term, where the library sums integer numerators over a
+common denominator. Two graph oracles walk the dual graph themselves:
 `forest_normalized_torus` solves one scalar per vertex where the library
 multiplies around cycles, and `principal` decides linear equivalence from its
 definition, with no spanning forest, no logs and no closed form.
@@ -23,6 +25,18 @@ from pinchjac.errors import NonUnit, OrderNonpositive, PinchjacError
 
 class DenominatorVanishes(PinchjacError):
     """The denominator of a rational function vanishes at the chosen center."""
+
+
+def fraction_product(a, b, size: int) -> tuple[Fraction, ...]:
+    """The first `size` coefficients of the product of the series a and b,
+    summed term by term in `Fraction` arithmetic."""
+    out = [Fraction(0)] * size
+    for i, ai in enumerate(a[:size]):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b[: size - i]):
+            out[i + j] += ai * bj
+    return tuple(out)
 
 
 def poly_shifted(p: Poly, a) -> Poly:

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     DenominatorVanishes,
+    fraction_product,
     jet_inverse,
     jet_of_rational_function,
     poly_shifted,
@@ -138,6 +141,60 @@ def test_pow_multiplies_neither_by_one_nor_past_the_last_bit(monkeypatch):
     calls[0] = 0
     p ** 0
     assert calls[0] == 0
+
+
+# --------------------------------------------------------------------------
+# Products against the term-by-term Fraction oracle
+# --------------------------------------------------------------------------
+
+# zeros, small values that cancel, and 80-bit numerators over denominators up to 10^6
+_COEFFICIENT = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def _jet_pair(draw):
+    order = draw(st.integers(1, 30))
+    coefficients = st.lists(_COEFFICIENT, max_size=order)
+    return Jet.make(order, draw(coefficients)), Jet.make(order, draw(coefficients))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFFICIENT, max_size=30), st.lists(_COEFFICIENT, max_size=30))
+def test_poly_product_matches_the_fraction_oracle(a, b):
+    p, q = Poly(a), Poly(b)
+    product = p * q
+    assert product.coeffs == Poly(fraction_product(p.coeffs, q.coeffs, len(a) + len(b))).coeffs
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jet_pair())
+def test_jet_product_matches_the_fraction_oracle(pair):
+    u, v = pair
+    product = u * v
+    assert product.coeffs == fraction_product(u.coeffs, v.coeffs, u.order)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def test_poly_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def as_sympy(p: Poly):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(coeffs or [0], t, domain=sympy.QQ)
+
+    rng = random.Random(37)
+    for _ in range(40):
+        p, q = (Poly([Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 10**6)) * rng.randint(0, 1)
+                      for _ in range(rng.randint(0, 20))]) for _ in range(2))
+        expected = as_sympy(p) * as_sympy(q)
+        assert [Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()] == (
+            list(reversed((p * q).coeffs)) or [0])
 
 
 # --------------------------------------------------------------------------
@@ -320,3 +377,35 @@ def test_coefficients_are_always_exact_fractions():
             assert _all_exact_fractions(jet.coeffs), jet
     assert type(Poly((1, 2))(3)) is Fraction
     assert type(Poly.one().leading) is Fraction
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly((1, "2")),
+    lambda: Poly.constant("2"),
+    lambda: Poly((1, 2))("3"),
+    lambda: Jet.make(2, (1, "2")),
+    lambda: Jet(2, (1, "2")),
+    lambda: Jet.constant("2", 2),
+], ids=["Poly", "Poly.constant", "Poly.__call__", "Jet.make", "Jet", "Jet.constant"])
+def test_strings_are_not_coefficients(build):
+    # Fraction() parses strings, so "2" used to pass as the number 2
+    with pytest.raises(TypeError, match="must be a number, got '[23]'"):
+        build()
+
+
+def test_scalar_factors_of_every_number_kind():
+    p, j = Poly((1, 2)), Jet.make(2, (1, 1))
+    half_five = Fraction(5, 2)
+    for factor in (2.5, half_five):
+        assert p * factor == factor * p == Poly((half_five, 5))
+        assert j * factor == factor * j == Jet.make(2, (half_five, half_five))
+    assert _all_exact_fractions((p * 2.5).coeffs) and _all_exact_fractions((j * 2.5).coeffs)
+    # anything that is neither a number nor the same kind is refused by Python itself
+    for other in ("2", None, [1], Jet.make(2, (1,)), Poly((1,))):
+        for x in (p, j):
+            if type(other) is type(x):
+                continue
+            with pytest.raises(TypeError):
+                x * other
+            with pytest.raises(TypeError):
+                other * x
