@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra import P1Point, Poly, RatLike, as_integer
+from .algebra import P1Point, Poly, RatLike, as_integer, as_number
 from .curve_model import CurveConfig, is_smooth_point, require_valid
 from .errors import (
     MissingBasepoint,
@@ -30,7 +31,7 @@ from .errors import (
     PositiveGenusUnsupported,
     SingularPoint,
 )
-from .jacobian import JacElement, JacobianPresentation, branch_class, jac_eq
+from .jacobian import JacElement, JacobianPresentation, branch_class
 
 
 @dataclass(frozen=True)
@@ -159,24 +160,21 @@ def aj_injectivity_probe(
     presentation: JacobianPresentation,
     sample,
 ) -> ProbeReport:
-    """Pairwise-compare Abel-Jacobi classes over a finite sample, exactly.
+    """Collisions of Abel-Jacobi classes over a finite sample, exactly.
 
-    Collisions are reported as ordered pairs in sample order; the comparison
-    is exact rational equality of canonical coordinates.
+    Two points collide exactly when their canonical coordinates are equal, so
+    the sample is grouped by class. Collisions are the pairs of distinct
+    points within a group, reported in sample order.
     """
     normalized = [(c, P1Point.of(p)) for c, p in sample]
-    classes = [
-        aj_eval(config, presentation, component_id, point)
-        for component_id, point in normalized
-    ]
-    collisions = []
-    for i in range(len(normalized)):
-        for j in range(i + 1, len(normalized)):
-            if normalized[i] == normalized[j]:
-                continue
-            if jac_eq(classes[i], classes[j]):
-                collisions.append((normalized[i], normalized[j]))
-    return ProbeReport(tuple(normalized), tuple(collisions))
+    groups: dict[JacElement, list[int]] = {}
+    for index, (component_id, point) in enumerate(normalized):
+        groups.setdefault(aj_eval(config, presentation, component_id, point), []).append(index)
+    pairs = sorted(
+        (i, j) for group in groups.values() for i, j in combinations(group, 2)
+        if normalized[i] != normalized[j]
+    )
+    return ProbeReport(tuple(normalized), tuple((normalized[i], normalized[j]) for i, j in pairs))
 
 
 # --------------------------------------------------------------------------
@@ -191,19 +189,19 @@ CUSPIDAL_Y = Poly((0, 0, 0, 1))  # t^3
 
 def nodal_param(t: RatLike) -> tuple[Fraction, Fraction]:
     """Point (t^2 - t, t^3 - t^2) of the plane cubic y^2 = x*y + x^3."""
-    t = Fraction(t)
+    t = as_number(t, "a parameter")
     return NODAL_X(t), NODAL_Y(t)
 
 
 def cuspidal_param(t: RatLike) -> tuple[Fraction, Fraction]:
     """Point (t^2, t^3) of the plane cubic y^2 = x^3."""
-    t = Fraction(t)
+    t = as_number(t, "a parameter")
     return CUSPIDAL_X(t), CUSPIDAL_Y(t)
 
 
 def param_inverse(x: RatLike, y: RatLike) -> Fraction:
     """Rational inverse y/x of either parametrization, defined for x != 0."""
-    x, y = Fraction(x), Fraction(y)
+    x, y = as_number(x, "a coordinate"), as_number(y, "a coordinate")
     if x == 0:
         raise SingularPoint("the inverse is undefined at the singular point")
     return y / x

@@ -1,7 +1,9 @@
 """Exact arithmetic over the rationals: polynomials, points of the line, jets.
 
 All values are built on `fractions.Fraction`, so every operation is exact and
-arbitrary precision; no floating point occurs anywhere in the package.
+arbitrary precision; no float enters a computed value anywhere in the package
+(the seeded generators compare `rng.random()` with a probability, and a float
+argument is converted exactly).
 Products of polynomials and of jets share one convolution kernel: it scales
 each operand to integer numerators over the least common multiple of its
 denominators, sums the products as Python ints, and divides each output
@@ -33,28 +35,30 @@ RatLike = Union[int, Fraction]
 
 def rational_str(value: Fraction) -> str:
     """Render a rational as 'p' or 'p/q' (q > 1 only)."""
-    value = Fraction(value)
+    value = as_number(value, "a rational")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_number(value, what: str) -> Fraction:
+def as_number(value, what: str) -> Fraction:
     """The exact rational a number stands for; TypeError for anything else, strings included."""
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, Number):
         raise TypeError(f"{what} must be a number, got {value!r}")
     return Fraction(value)
 
 
 def _coefficients(coeffs: Iterable[RatLike]) -> list[Fraction]:
-    return [c if type(c) is Fraction else _as_number(c, "a coefficient") for c in coeffs]
+    return [c if type(c) is Fraction else as_number(c, "a coefficient") for c in coeffs]
 
 
 def as_integer(value, what: str) -> int:
     """The integer a value stands for; ValueError rather than truncating 5/2 or 1.9."""
     if type(value) is int:
         return value
-    exact = _as_number(value, what)
+    exact = as_number(value, what)
     if exact.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {value}")
     return exact.numerator
@@ -72,7 +76,7 @@ class P1Point:
 
     @classmethod
     def finite(cls, value: RatLike) -> "P1Point":
-        return cls(_as_number(value, "a point"))
+        return cls(as_number(value, "a point"))
 
     @classmethod
     def infinity(cls) -> "P1Point":
@@ -214,7 +218,7 @@ class Poly:
             return Poly(_convolve(a, b, len(a) + len(b)))
         if not isinstance(other, Number):
             return NotImplemented
-        factor = _as_number(other, "a factor")
+        factor = as_number(other, "a factor")
         return Poly(tuple(c * factor for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -241,7 +245,7 @@ class Poly:
         return divmod(self, divisor)[1]
 
     def __call__(self, point: RatLike) -> Fraction:
-        point = _as_number(point, "a point")
+        point = as_number(point, "a point")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -333,7 +337,7 @@ class Jet:
             return Jet(self.order, _convolve(self.coeffs, other.coeffs, self.order))
         if not isinstance(other, Number):
             return NotImplemented
-        factor = _as_number(other, "a factor")
+        factor = as_number(other, "a factor")
         return Jet(self.order, tuple(c * factor for c in self.coeffs))
 
     __rmul__ = __mul__

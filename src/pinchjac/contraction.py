@@ -8,9 +8,11 @@ certificate computed by counting degrees: every product of the generators is
 monic, so products of distinct degrees are linearly independent, and all of
 them lie in K + (g), whose slice of degree at most d has dimension d - e + 2
 for d >= e and 1 below e. Where the number of distinct product degrees up to
-d meets that bound, the products span the slice. Membership is decided degree
-by degree, and positive answers carry an explicit polynomial expression in
-the generators that re-expands to the input.
+d meets that bound, the products span the slice. Membership is read off the
+g-adic expansion of f (its Taylor expansion in base g): f lies in K + (g)
+exactly when its lowest digit, f mod g, is a constant. The higher digits then
+give the positive answer's explicit polynomial expression in the generators,
+which re-expands to the input.
 """
 
 from __future__ import annotations
@@ -161,46 +163,35 @@ class NotMember:
 def subalgebra_membership(f: Poly, g: Poly) -> Union[MembershipCertificate, NotMember]:
     """Decide f in K + (g) and certify the answer.
 
-    Positive answers are built by repeatedly cancelling the leading term of
-    f - constant against a monic product of the generators of matching degree
-    (for degree d >= e take g^(q-1) * (g*t^r) with d = q*e + r); the exponent
-    recursion terminates because the degree strictly drops. The negative
-    answer reports the degree at which no product of generators can reach the
-    leading term.
+    Repeated division by g gives the g-adic expansion f = d_0 + d_1 g + d_2 g^2
+    + ..., each digit d_q of degree below e = deg g. So f lies in K + (g)
+    exactly when d_0 = f mod g is a constant, and the negative answer reports
+    the lowest nonzero degree of f mod g. Otherwise the constant is d_0, and
+    each nonzero coefficient of t^r in a digit d_q with q >= 1 is one term,
+    with the monic generator product g^(q-1) * (g*t^r) of degree q*e + r. The
+    terms are listed from the highest degree down.
     """
     generators = _generators(g)
     e = len(generators)
 
-    remainder = f % g
-    if remainder.degree > 0:
-        lowest = min(d for d in range(1, e) if remainder.coefficient(d) != 0)
+    quotient, digit = divmod(f, g)
+    if digit.degree > 0:
+        lowest = min(d for d in range(1, e) if digit.coefficient(d) != 0)
         return NotMember(failing_degree=lowest)
-    constant = remainder.coefficient(0)
+    constant = digit.coefficient(0)
 
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    powers = [Poly.one()]
-    current = f - Poly.constant(constant)
-    while not current.is_zero:
-        d = current.degree
-        if d < e:
-            # cannot happen for f - constant in (g); guarded for safety
-            return NotMember(failing_degree=d)
-        q, r = divmod(d, e)
-        exponents = [0] * e
-        if r == 0:
-            exponents[0] = q
-        else:
-            exponents[0] = q - 1
-            exponents[r] += 1
-        # g^(q-1) * (g*t^r) is g^q shifted by r: monic of degree d
-        while len(powers) <= q:
-            powers.append(powers[-1] * g)
-        coefficient = current.leading
-        terms.append((coefficient, tuple(exponents)))
-        current = current - Poly((0,) * r + powers[q].coeffs) * coefficient
-        if not current.is_zero and current.degree >= d:
-            raise CertificateFailure("membership recursion failed to reduce degree")
-    return MembershipCertificate(constant, tuple(terms), generators)
+    q = 0
+    while not quotient.is_zero:
+        q += 1
+        quotient, digit = divmod(quotient, g)
+        for r, coefficient in enumerate(digit.coeffs):
+            if coefficient != 0:
+                exponents = [0] * e
+                exponents[0] = q - 1
+                exponents[r] += 1  # g^(q-1) * (g*t^r), which is g^q when r = 0
+                terms.append((coefficient, tuple(exponents)))
+    return MembershipCertificate(constant, tuple(reversed(terms)), generators)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping
 
-from .algebra import Jet, rational_str, unit_log
+from .algebra import Jet, as_number, rational_str, unit_log
 from .curve_model import (
     CurveConfig,
     Edge,
@@ -169,10 +169,11 @@ class JacElement:
     unipotent_coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "torus_coords", tuple(Fraction(c) for c in self.torus_coords))
-        object.__setattr__(
-            self, "unipotent_coords", tuple(Fraction(c) for c in self.unipotent_coords)
-        )
+        for name in ("torus_coords", "unipotent_coords"):
+            coords = tuple(
+                c if type(c) is Fraction else as_number(c, "a coordinate") for c in getattr(self, name)
+            )
+            object.__setattr__(self, name, coords)
         if any(c == 0 for c in self.torus_coords):
             raise NonUnitEntry("torus coordinates must be nonzero")
 

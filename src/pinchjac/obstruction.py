@@ -91,35 +91,21 @@ class NotLiftable:
 def liftability_test(problem: LiftabilityProblem) -> Union[Liftable, NotLiftable]:
     """Decide whether the germ lifts, with an explicit certificate either way."""
     s = problem.config.singularity(problem.singularity)
-    class_of_component: dict[str, int] = {}
-    for index, members in enumerate(problem.partition):
-        for component_id in members:
-            class_of_component[component_id] = index
-
+    class_of = {c: index for index, members in enumerate(problem.partition) for c in members}
     for i, jet in enumerate(problem.germ):
         if not jet.is_constant:
             return NotLiftable(reason="NonconstantJet", branch=i)
 
-    first_in_class: dict[int, int] = {}
-    scalars: dict[int, Fraction] = {}
+    values = [jet.constant_term for jet in problem.germ]
+    first: dict[int, int] = {}  # class -> its first branch, whose value is the class scalar
     for i, b in enumerate(s.branches):
-        cls = class_of_component[b.component]
-        value = problem.germ[i].constant_term
-        if cls not in scalars:
-            scalars[cls] = value
-            first_in_class[cls] = i
-            continue
-        if scalars[cls] != value:
+        j = first.setdefault(class_of[b.component], i)
+        if values[i] != values[j]:
             return NotLiftable(
-                reason="ValueMismatch",
-                branch=i,
-                other_branch=first_in_class[cls],
-                values=(value, scalars[cls]),
+                reason="ValueMismatch", branch=i, other_branch=j, values=(values[i], values[j])
             )
-    class_scalars = tuple(
-        scalars.get(index, Fraction(1)) for index in range(len(problem.partition))
-    )
-    return Liftable(mu=Fraction(1), class_scalars=class_scalars)
+    scalars = (values[first[k]] if k in first else Fraction(1) for k in range(len(problem.partition)))
+    return Liftable(mu=Fraction(1), class_scalars=tuple(scalars))
 
 
 @dataclass(frozen=True)

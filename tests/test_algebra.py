@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,12 @@ from oracles import (
     poly_shifted,
     unit_exp,
 )
+from pinchjac.abel_jacobi import cuspidal_param, nodal_param, param_inverse
 from pinchjac.algebra import INFINITY, Jet, P1Point, Poly, rational_str, unit_log
 from pinchjac.errors import NonUnit, OrderMismatch, OrderNonpositive
+from pinchjac.jacobian import JacElement
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pinchjac"
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -391,6 +397,59 @@ def test_strings_are_not_coefficients(build):
     # Fraction() parses strings, so "2" used to pass as the number 2
     with pytest.raises(TypeError, match="must be a number, got '[23]'"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nodal_param("3"),
+    lambda: cuspidal_param("3"),
+    lambda: param_inverse("1", "2"),
+    lambda: JacElement("fp", ("1/2",), ("3",)),
+    lambda: rational_str("4/6"),
+], ids=["nodal_param", "cuspidal_param", "param_inverse", "JacElement", "rational_str"])
+def test_strings_are_not_numbers_at_the_entry_points(build):
+    with pytest.raises(TypeError, match="must be a number, got '[0-9/]+'"):
+        build()
+
+
+def test_entry_points_still_take_every_number_kind():
+    half = Fraction(1, 2)
+    assert nodal_param(3) == (6, 18) and cuspidal_param(half) == (half ** 2, half ** 3)
+    assert param_inverse(1, 2) == 2 and param_inverse(0.5, 0.25) == half
+    element = JacElement("fp", (half, 2), (0.75,))
+    assert element.torus_coords == (half, 2) and element.unipotent_coords == (Fraction(3, 4),)
+    assert _all_exact_fractions(element.torus_coords + element.unipotent_coords)
+    assert [rational_str(x) for x in (Fraction(4, 6), 3, 0.5)] == ["2/3", "3", "1/2"]
+
+
+def _float_uses(path: Path) -> list[str]:
+    """Each float literal, with the expression holding it, and each float() call."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{path.name}: {ast.get_source_segment(source, parents[node])}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(f"{path.name}: {ast.get_source_segment(source, node)}")
+    return found
+
+
+def test_float_scan_finds_literals_and_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("x = 2 * 1.5\ny = float(x)\nz = 3\n", encoding="utf-8")
+    assert sorted(_float_uses(sample)) == ["sample.py: 2 * 1.5", "sample.py: float(x)"]
+
+
+def test_no_float_enters_a_computed_value():
+    # the only floats are the seeded generators' draws of rng.random() against
+    # a probability; they choose a shape and never become a coefficient
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert sorted(use for path in modules for use in _float_uses(path)) == [
+        "builders.py: rng.random() < 0.3",
+        "builders.py: self._rng.random() < 0.08",
+    ]
 
 
 def test_scalar_factors_of_every_number_kind():

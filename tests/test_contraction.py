@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import membership_by_cancellation
 from pinchjac.algebra import INFINITY, P1Point, Poly
 from pinchjac.contraction import (
     FiniteSubscheme,
@@ -199,6 +200,44 @@ def test_membership_agrees_with_row_reduction_oracle(case):
     f, g = case
     answer = subalgebra_membership(f, g)
     assert isinstance(answer, MembershipCertificate) == _oracle_membership(f, g)
+    if isinstance(answer, MembershipCertificate):
+        assert answer.expand() == f
+
+
+_digit_coefficients = st.just(Fraction(0)) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _expansion_cases(draw):
+    """Monic g of degree 1 to 6 and f of degree at most 30: members c + g*h,
+    built from g-adic digits that often have zero coefficients, members plus
+    one term below deg g, arbitrary f, zero and constants."""
+    e = draw(st.integers(1, 6))
+    g = Poly(draw(st.lists(_digit_coefficients, min_size=e, max_size=e)) + [Fraction(1)])
+    kind = draw(st.sampled_from(("member", "near member", "arbitrary", "zero", "constant")))
+    if kind in ("member", "near member"):
+        digits = draw(st.lists(st.lists(_digit_coefficients, max_size=e), max_size=(31 - e) // e))
+        f = Poly.constant(draw(_digit_coefficients))
+        for q, digit in enumerate(digits, start=1):
+            f = f + Poly(digit) * g ** q
+        if kind == "near member" and e > 1:
+            f = f + Poly.monomial(draw(st.integers(1, e - 1))) * draw(_digit_coefficients)
+    elif kind == "arbitrary":
+        f = Poly(draw(st.lists(_digit_coefficients, max_size=31)))
+    elif kind == "zero":
+        f = Poly.zero()
+    else:
+        f = Poly.constant(draw(_digit_coefficients))
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expansion_cases())
+def test_g_adic_membership_matches_leading_term_cancellation(case):
+    # the same constant, terms in the same order, generators, or NotMember degree
+    f, g = case
+    answer = subalgebra_membership(f, g)
+    assert answer == membership_by_cancellation(f, g)
     if isinstance(answer, MembershipCertificate):
         assert answer.expand() == f
 

@@ -66,6 +66,27 @@ def test_two_node_pair_value_mismatch():
     assert {outcome.branch, outcome.other_branch} == {0, 1}
 
 
+def test_the_first_branch_of_a_class_carries_its_scalar():
+    # without s1 the three lines stay one class through s2; M is a class of its own
+    config = CurveConfig(
+        name="triple",
+        components=(Component("L1"), Component("L2"), Component("L3"), Component("M")),
+        singularities=(
+            Singularity("s1", (Branch("L1", 0), Branch("L2", 0), Branch("L3", 0))),
+            Singularity("s2", (Branch("L1", 1), Branch("L2", 1), Branch("L3", 1))),
+        ),
+    )
+
+    def outcome(*values):
+        germ = {i: Jet.constant(v, 1) for i, v in enumerate(values)}
+        return liftability_test(liftability_problem(config, "s1", germ))
+
+    assert outcome(1, 1, 2) == NotLiftable("ValueMismatch", branch=2, other_branch=0, values=(2, 1))
+    partition = liftability_problem(config, "s1", {i: Jet.constant(1, 1) for i in range(3)}).partition
+    scalars = tuple(Fraction(3) if "L1" in members else Fraction(1) for members in partition)
+    assert len(partition) == 2 and outcome(3, 3, 3) == Liftable(Fraction(1), scalars)
+
+
 def test_single_node_distinct_values_lift():
     config = two_lines()
     problem = liftability_problem(config, "n", _constant_germ(config, "n", 0, 2))
