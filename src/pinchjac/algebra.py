@@ -284,6 +284,8 @@ class Jet:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.order) is not int:  # every product builds a jet; ints skip the call
+            object.__setattr__(self, "order", as_integer(self.order, "jet order"))
         if self.order < 1:
             raise OrderNonpositive(f"jet order must be >= 1, got {self.order}")
         coeffs = tuple(_coefficients(self.coeffs))
@@ -294,6 +296,7 @@ class Jet:
     @classmethod
     def make(cls, order: int, coeffs: Iterable[RatLike] = ()) -> "Jet":
         out = _coefficients(coeffs)
+        order = as_integer(order, "jet order")
         if order < 1:
             raise OrderNonpositive(f"jet order must be >= 1, got {order}")
         if len(out) > order:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .algebra import INFINITY, Jet, P1Point
-from .curve_model import Branch, Component, CurveConfig, Singularity, validate
+from .curve_model import Branch, Component, CurveConfig, Singularity
 from .dsl import parse_curve_dsl
 from .jacobian import UnitJetVector, unit_jet_vector
 from .modification import modifiable_sites
@@ -117,19 +117,12 @@ def random_config(
     if with_basepoints:
         basepoints = tuple((c.id, allocator.take(c.id)) for c in components)
 
-    config = CurveConfig(
+    return CurveConfig(
         name=f"random_{rng.randrange(10**6)}",
         components=tuple(components),
         singularities=tuple(singularities),
         basepoints=basepoints,
     )
-    if validate(config):
-        # the allocator guarantees fresh points, so this should be unreachable
-        return random_config(
-            rng, max_components, max_singularities, thick_branches, positive_genus,
-            with_basepoints,
-        )
-    return config
 
 
 def random_modifiable_config(rng: random.Random) -> CurveConfig:

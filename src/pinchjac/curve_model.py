@@ -8,6 +8,10 @@ that branch. The local ring at a singularity is of contraction type
 (constants plus the product of the branch ideals), so its delta invariant is
 the total branch multiplicity minus one.
 
+One walk over a configuration, when it is built, fills its id lookups and
+branch points (an entry already there is a duplicate), its violations and its
+fingerprint.
+
 The dual graph has one vertex per component and per singularity and one edge
 per branch; its first Betti number is the torus rank of the Jacobian. Every
 graph question (ranks, components, partitions, fundamental cycles, bridges)
@@ -99,9 +103,9 @@ class CurveConfig:
     """A full configuration; basepoints are optional and per component.
 
     The facts every entry point reads (violations, fingerprint, id lookups,
-    branch points) are computed once, when the configuration is built. Where
-    an id repeats, lookups return its first occurrence. A basepoint given as a
-    number is a finite point.
+    branch points) come from one walk when the configuration is built. Where
+    an id repeats, lookups return its first occurrence and each later one is a
+    violation. A basepoint given as a number is a finite point.
     """
 
     name: str
@@ -116,19 +120,75 @@ class CurveConfig:
     _fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "singularities", tuple(self.singularities))
+        components = tuple(self.components)
+        singularities = tuple(self.singularities)
         bases = ((cid, P1Point.of(point)) for cid, point in self.basepoints)
-        ordered = tuple(sorted(bases, key=lambda kv: kv[0]))
-        object.__setattr__(self, "basepoints", ordered)
-        # the first occurrence of a repeated id wins, as in a scan
-        object.__setattr__(self, "_components", {c.id: c for c in reversed(self.components)})
-        object.__setattr__(self, "_singularities", {s.id: s for s in reversed(self.singularities)})
-        object.__setattr__(self, "_basepoints", dict(reversed(ordered)))
-        points = frozenset((b.component, b.point) for s in self.singularities for b in s.branches)
-        object.__setattr__(self, "_branch_points", points)
-        object.__setattr__(self, "_violations", _find_violations(self))
-        object.__setattr__(self, "_fingerprint", _structure_hash(self))
+        # keyed by str so mixed-type ids sort too; a non-string id is an InvalidId
+        basepoints = tuple(sorted(bases, key=lambda kv: str(kv[0])))
+        by_component: dict[str, Component] = {}
+        by_singularity: dict[str, Singularity] = {}
+        by_basepoint: dict[str, P1Point] = {}
+        points: set[tuple[str, P1Point]] = set()
+        found: list[tuple[str, str]] = []  # (kind, message) of each violation
+        parts = []  # of the fingerprint
+        for c in components:
+            if c.id in by_component:
+                found.append((DUPLICATE_COMPONENT_ID, f"component {c.id!r} repeats"))
+            else:
+                by_component[c.id] = c
+            parts.append(f"C:{c.id}:{c.genus}")
+        for s in singularities:
+            if s.id in by_singularity:
+                found.append((DUPLICATE_SINGULARITY_ID, f"singularity {s.id!r} repeats"))
+            else:
+                by_singularity[s.id] = s
+            total = s.total_multiplicity
+            if total < 2:
+                found.append((TOTAL_MULTIPLICITY_TOO_LOW,
+                              f"singularity {s.id!r} has total multiplicity {total} < 2"))
+            labels = []
+            for b in s.branches:
+                key = (b.component, b.point)
+                component = by_component.get(b.component)
+                if component is None:  # its key never meets a key on a known component
+                    found.append((UNKNOWN_COMPONENT, f"singularity {s.id!r} references "
+                                                     f"unknown component {b.component!r}"))
+                elif key in points:
+                    found.append((DUPLICATE_BRANCH_POINT, f"branch point ({b.component}, "
+                                                          f"{b.point}) appears more than once"))
+                if component is not None and component.genus > 0 and b.multiplicity > 1:
+                    found.append((POSITIVE_GENUS_THICK_BRANCH,
+                                  f"component {b.component!r} has positive genus and cannot "
+                                  f"carry a branch of multiplicity {b.multiplicity}"))
+                points.add(key)
+                labels.append(f"{b.component}@{b.point}^{b.multiplicity}")
+            parts.append(f"S:{s.id}:[{','.join(labels)}]")
+        for cid, point in basepoints:
+            if cid in by_basepoint:
+                found.append((DUPLICATE_BASEPOINT, f"basepoint of component {cid!r} repeats"))
+            else:
+                by_basepoint[cid] = point
+            if cid not in by_component:
+                found.append((UNKNOWN_COMPONENT, f"basepoint names unknown component {cid!r}"))
+            elif (cid, point) in points:
+                found.append((BASEPOINT_NOT_SMOOTH,
+                              f"basepoint ({cid}, {point}) is a branch point of a singularity"))
+            parts.append(f"B:{cid}@{point}")
+        ids = [("curve name", self.name)] + [("component", c.id) for c in components]
+        for what, name in ids + [("singularity", s.id) for s in singularities]:
+            if not (isinstance(name, str) and ID_PATTERN.fullmatch(name)):
+                message = f"{what} {name!r} is not of the form {ID_PATTERN.pattern}"
+                found.append((INVALID_ID, message))
+        digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "singularities", singularities)
+        object.__setattr__(self, "basepoints", basepoints)
+        object.__setattr__(self, "_components", by_component)
+        object.__setattr__(self, "_singularities", by_singularity)
+        object.__setattr__(self, "_basepoints", by_basepoint)
+        object.__setattr__(self, "_branch_points", frozenset(points))
+        object.__setattr__(self, "_violations", tuple(Violation(*v) for v in found))
+        object.__setattr__(self, "_fingerprint", digest[:16])
 
     def component(self, component_id: str) -> Component:
         component = self._components.get(component_id)
@@ -154,21 +214,6 @@ class CurveConfig:
         return self._fingerprint
 
 
-def _structure_hash(config: CurveConfig) -> str:
-    parts = []
-    for c in config.components:
-        parts.append(f"C:{c.id}:{c.genus}")
-    for s in config.singularities:
-        branches = ",".join(
-            f"{b.component}@{b.point}^{b.multiplicity}" for b in s.branches
-        )
-        parts.append(f"S:{s.id}:[{branches}]")
-    for cid, point in config.basepoints:
-        parts.append(f"B:{cid}@{point}")
-    digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-    return digest[:16]
-
-
 # --------------------------------------------------------------------------
 # Validation
 # --------------------------------------------------------------------------
@@ -187,82 +232,6 @@ def validate(config: CurveConfig) -> list[Violation]:
 def require_valid(config: CurveConfig) -> None:
     if config._violations:
         raise InvalidConfig(config._violations)
-
-
-def _find_violations(config: CurveConfig) -> tuple[Violation, ...]:
-    out: list[Violation] = []
-
-    seen_components: set[str] = set()
-    for c in config.components:
-        if c.id in seen_components:
-            out.append(Violation(DUPLICATE_COMPONENT_ID, f"component {c.id!r} repeats"))
-        seen_components.add(c.id)
-
-    seen_sings: set[str] = set()
-    seen_points: set[tuple[str, P1Point]] = set()
-    for s in config.singularities:
-        if s.id in seen_sings:
-            out.append(Violation(DUPLICATE_SINGULARITY_ID, f"singularity {s.id!r} repeats"))
-        seen_sings.add(s.id)
-        if s.total_multiplicity < 2:
-            out.append(
-                Violation(
-                    TOTAL_MULTIPLICITY_TOO_LOW,
-                    f"singularity {s.id!r} has total multiplicity {s.total_multiplicity} < 2",
-                )
-            )
-        for b in s.branches:
-            if b.component not in config._components:
-                out.append(
-                    Violation(
-                        UNKNOWN_COMPONENT,
-                        f"singularity {s.id!r} references unknown component {b.component!r}",
-                    )
-                )
-                continue
-            key = (b.component, b.point)
-            if key in seen_points:
-                out.append(
-                    Violation(
-                        DUPLICATE_BRANCH_POINT,
-                        f"branch point ({b.component}, {b.point}) appears more than once",
-                    )
-                )
-            seen_points.add(key)
-            if config._components[b.component].genus > 0 and b.multiplicity > 1:
-                out.append(
-                    Violation(
-                        POSITIVE_GENUS_THICK_BRANCH,
-                        f"component {b.component!r} has positive genus and cannot "
-                        f"carry a branch of multiplicity {b.multiplicity}",
-                    )
-                )
-
-    seen_bases: set[str] = set()
-    for cid, point in config.basepoints:
-        if cid in seen_bases:
-            out.append(Violation(DUPLICATE_BASEPOINT, f"basepoint of component {cid!r} repeats"))
-        seen_bases.add(cid)
-        if cid not in config._components:
-            out.append(
-                Violation(UNKNOWN_COMPONENT, f"basepoint names unknown component {cid!r}")
-            )
-            continue
-        if (cid, point) in config._branch_points:
-            out.append(
-                Violation(
-                    BASEPOINT_NOT_SMOOTH,
-                    f"basepoint ({cid}, {point}) is a branch point of a singularity",
-                )
-            )
-
-    ids = [("curve name", config.name)] + [("component", c.id) for c in config.components]
-    for what, name in ids + [("singularity", s.id) for s in config.singularities]:
-        if not (isinstance(name, str) and ID_PATTERN.fullmatch(name)):
-            message = f"{what} {name!r} is not of the form {ID_PATTERN.pattern}"
-            out.append(Violation(INVALID_ID, message))
-
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------

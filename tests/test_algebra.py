@@ -228,6 +228,20 @@ def test_jet_construction_guards():
         jet_inverse(Jet.make(2, (0, 1)))
 
 
+def test_jet_order_is_normalized_to_an_int():
+    for order in (2.0, Fraction(2)):
+        for jet in (Jet(order, (1, 1)), Jet.make(order, (1,))):
+            assert type(jet.order) is int and jet.order == 2
+            assert unit_log(jet) == unit_log(Jet(2, jet.coeffs))
+    one = Jet(True, (3,))
+    assert type(one.order) is int and str(one) == "(3) order 1"
+    for build in (lambda order: Jet(order, (1, 1)), lambda order: Jet.make(order, (1,))):
+        with pytest.raises(ValueError, match="jet order must be an integer"):
+            build(2.5)
+        with pytest.raises(TypeError, match="jet order must be a number"):
+            build("2")
+
+
 def test_jet_products():
     one_plus = Jet.make(2, (1, 1))
     one_minus = Jet.make(2, (1, -1))

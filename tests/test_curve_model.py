@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from pinchjac import curve_model
 from pinchjac.abel_jacobi import SmoothDivisor, aj_eval, divisor_class
 from pinchjac.algebra import INFINITY, P1Point
 from pinchjac.builders import (
@@ -118,6 +117,29 @@ def test_validate_is_order_independent():
             (v.kind, v.message) for v in validate(shuffled)
         )
         assert validate(config) == validate(config)  # idempotent
+
+
+# every parameter set that verify, the builders and the tests draw with
+RANDOM_CONFIG_PARAMETERS = [
+    {},
+    {"positive_genus": False},
+    {"with_basepoints": True},
+    {"max_components": 5, "max_singularities": 5, "thick_branches": False},
+    {"max_components": 4, "max_singularities": 5, "positive_genus": False, "with_basepoints": True},
+    {"max_components": 1, "max_singularities": 5, "positive_genus": False, "with_basepoints": True},
+    {"max_components": 5, "max_singularities": 6, "positive_genus": False, "with_basepoints": True},
+    {"max_components": 1, "max_singularities": 1},
+    {"max_components": 4, "max_singularities": 4},
+    {"max_components": 6, "max_singularities": 8},
+    {"max_components": 8, "max_singularities": 12},
+]
+
+
+@pytest.mark.parametrize("parameters", RANDOM_CONFIG_PARAMETERS)
+def test_random_configs_are_valid_by_construction(parameters):
+    rng = random.Random(13)
+    for _ in range(300):
+        assert validate(random_config(rng, **parameters)) == []
 
 
 def test_dual_graph_examples():
@@ -300,6 +322,15 @@ def test_invalid_ids_are_violations():
             jacobian_structure(config)
 
 
+def test_mixed_type_basepoint_ids_are_reported_not_raised():
+    config = CurveConfig("c", (Component("L"), Component(5)), (), ((5, 0), ("L", 1)))
+    assert [(v.kind, v.message) for v in validate(config)] == [
+        (INVALID_ID, "component 5 is not of the form [A-Za-z_][A-Za-z0-9_]*")
+    ]
+    assert config.basepoints == ((5, _pt(0)), ("L", _pt(1)))
+    assert config.basepoint(5) == _pt(0) and config.basepoint("L") == _pt(1)
+
+
 # --------------------------------------------------------------------------
 # Stored facts against linear scans
 # --------------------------------------------------------------------------
@@ -464,17 +495,17 @@ def test_stored_facts_leave_equality_hash_and_repr_alone():
 
 
 def test_violations_and_fingerprint_are_computed_once_per_config(monkeypatch):
-    calls = {"_find_violations": 0, "_structure_hash": 0}
-    for name in calls:
-        compute = getattr(curve_model, name)
+    # the generated __init__ looks __post_init__ up on the class when it runs
+    built = []
+    post_init = CurveConfig.__post_init__
 
-        def counted(config, name=name, compute=compute):
-            calls[name] += 1
-            return compute(config)
+    def counted(config):
+        built.append(config)
+        post_init(config)
 
-        monkeypatch.setattr(curve_model, name, counted)
+    monkeypatch.setattr(CurveConfig, "__post_init__", counted)
     config = two_nodes_pair()
-    assert calls == {"_find_violations": 1, "_structure_hash": 1}
+    assert len(built) == 1 and built[0] is config
     presentation = jacobian_structure(config)
     for value in (2, 3, 5):
         aj_eval(config, presentation, "L1", value)
@@ -483,4 +514,6 @@ def test_violations_and_fingerprint_are_computed_once_per_config(monkeypatch):
     obstruction_witness(config, "n1", 0)
     assert validate(config) == []
     assert config.fingerprint() == presentation.config_fingerprint
-    assert calls == {"_find_violations": 1, "_structure_hash": 1}
+    assert len(built) == 1
+    other = CurveConfig("other", (Component("L"),))
+    assert len(built) == 2 and built[1] is other
