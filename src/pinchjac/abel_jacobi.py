@@ -36,19 +36,19 @@ from .jacobian import JacElement, JacobianPresentation, branch_class
 
 @dataclass(frozen=True)
 class SmoothDivisor:
-    """Formal sum of smooth points with integer coefficients."""
+    """Formal sum of smooth points with integer coefficients; a number is a finite point."""
 
     entries: tuple[tuple[str, P1Point, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(
-            (component, point, as_integer(coefficient, "a divisor coefficient"))
+            (component, P1Point.of(point), as_integer(coefficient, "a divisor coefficient"))
             for component, point, coefficient in self.entries
         ))
 
     @classmethod
     def of(cls, entries) -> "SmoothDivisor":
-        return cls(tuple((component, P1Point.of(point), k) for component, point, k in entries))
+        return cls(tuple(entries))
 
     def degree_by_component(self) -> dict[str, int]:
         degrees: dict[str, int] = {}

@@ -74,6 +74,10 @@ class P1Point:
 
     value: Fraction | None = None
 
+    def __post_init__(self):
+        if self.value is not None and type(self.value) is not Fraction:
+            object.__setattr__(self, "value", as_number(self.value, "a point"))
+
     @classmethod
     def finite(cls, value: RatLike) -> "P1Point":
         return cls(as_number(value, "a point"))

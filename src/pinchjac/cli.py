@@ -8,6 +8,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -254,15 +255,7 @@ def _cmd_verify(args) -> int:
     _emit(
         {
             "seed": args.seed,
-            "criteria": [
-                {
-                    "criterion": r.criterion,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "details": r.details,
-                }
-                for r in results
-            ],
+            "criteria": [dataclasses.asdict(r) for r in results],
             "all_passed": all(r.passed for r in results),
         }
     )

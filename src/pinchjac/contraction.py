@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 from typing import Union
 
 from .algebra import P1Point, Poly, as_integer
@@ -29,12 +30,12 @@ from .errors import CertificateFailure, DegreeOne, InfinityUnsupported, NotMonic
 
 @dataclass(frozen=True)
 class FiniteSubscheme:
-    """Finite closed subscheme of the line: points with multiplicities."""
+    """Finite closed subscheme of the line: points (numbers or P1Points) with multiplicities."""
 
     points: tuple[tuple[P1Point, int], ...]
 
     def __post_init__(self):
-        points = tuple((p, as_integer(m, "a multiplicity")) for p, m in self.points)
+        points = tuple((P1Point.of(p), as_integer(m, "a multiplicity")) for p, m in self.points)
         if not points:
             raise ValueError("a finite subscheme needs at least one point")
         seen = set()
@@ -62,7 +63,7 @@ class FiniteSubscheme:
 
 def finite_subscheme(points) -> FiniteSubscheme:
     """Build a subscheme from (point-like, multiplicity) pairs."""
-    return FiniteSubscheme(tuple((P1Point.of(point), mult) for point, mult in points))
+    return FiniteSubscheme(tuple(points))
 
 
 def vanishing_ideal_generator(z: FiniteSubscheme) -> Poly:
@@ -143,12 +144,17 @@ class MembershipCertificate:
     generators: tuple[Poly, ...]
 
     def expand(self) -> Poly:
+        """The constant plus the terms as listed, each generator power built once."""
+        powers: dict[tuple[int, int], Poly] = {}
         total = Poly.constant(self.constant)
         for coefficient, exponents in self.terms:
-            product = Poly.one()
-            for gen, exp in zip(self.generators, exponents):
+            factors = []
+            for i, exp in enumerate(exponents):
                 if exp:
-                    product = product * gen ** exp
+                    if (i, exp) not in powers:
+                        powers[i, exp] = self.generators[i] ** exp
+                    factors.append(powers[i, exp])
+            product = prod(factors[1:], start=factors[0]) if factors else Poly.one()
             total = total + product * coefficient
         return total
 

@@ -105,7 +105,8 @@ class CurveConfig:
     The facts every entry point reads (violations, fingerprint, id lookups,
     branch points) come from one walk when the configuration is built. Where
     an id repeats, lookups return its first occurrence and each later one is a
-    violation. A basepoint given as a number is a finite point.
+    violation; an id that cannot be hashed is an InvalidId and no lookup holds
+    it. A basepoint given as a number is a finite point.
     """
 
     name: str
@@ -130,26 +131,38 @@ class CurveConfig:
         by_basepoint: dict[str, P1Point] = {}
         points: set[tuple[str, P1Point]] = set()
         found: list[tuple[str, str]] = []  # (kind, message) of each violation
+        unhashable: list[tuple[str, object]] = []  # ids the lookups cannot hold
         parts = []  # of the fingerprint
         for c in components:
-            if c.id in by_component:
-                found.append((DUPLICATE_COMPONENT_ID, f"component {c.id!r} repeats"))
-            else:
-                by_component[c.id] = c
             parts.append(f"C:{c.id}:{c.genus}")
+            try:
+                if c.id in by_component:
+                    found.append((DUPLICATE_COMPONENT_ID, f"component {c.id!r} repeats"))
+                else:
+                    by_component[c.id] = c
+            except TypeError:  # unhashable: an InvalidId, reported with the others at the end
+                pass
         for s in singularities:
-            if s.id in by_singularity:
-                found.append((DUPLICATE_SINGULARITY_ID, f"singularity {s.id!r} repeats"))
-            else:
-                by_singularity[s.id] = s
+            try:
+                if s.id in by_singularity:
+                    found.append((DUPLICATE_SINGULARITY_ID, f"singularity {s.id!r} repeats"))
+                else:
+                    by_singularity[s.id] = s
+            except TypeError:  # unhashable: an InvalidId, reported with the others at the end
+                pass
             total = s.total_multiplicity
             if total < 2:
                 found.append((TOTAL_MULTIPLICITY_TOO_LOW,
                               f"singularity {s.id!r} has total multiplicity {total} < 2"))
             labels = []
             for b in s.branches:
+                labels.append(f"{b.component}@{b.point}^{b.multiplicity}")
+                try:
+                    component = by_component.get(b.component)
+                except TypeError:
+                    unhashable.append(("branch component", b.component))
+                    continue
                 key = (b.component, b.point)
-                component = by_component.get(b.component)
                 if component is None:  # its key never meets a key on a known component
                     found.append((UNKNOWN_COMPONENT, f"singularity {s.id!r} references "
                                                      f"unknown component {b.component!r}"))
@@ -161,21 +174,25 @@ class CurveConfig:
                                   f"component {b.component!r} has positive genus and cannot "
                                   f"carry a branch of multiplicity {b.multiplicity}"))
                 points.add(key)
-                labels.append(f"{b.component}@{b.point}^{b.multiplicity}")
             parts.append(f"S:{s.id}:[{','.join(labels)}]")
         for cid, point in basepoints:
-            if cid in by_basepoint:
-                found.append((DUPLICATE_BASEPOINT, f"basepoint of component {cid!r} repeats"))
-            else:
-                by_basepoint[cid] = point
+            parts.append(f"B:{cid}@{point}")
+            try:
+                if cid in by_basepoint:
+                    found.append((DUPLICATE_BASEPOINT, f"basepoint of component {cid!r} repeats"))
+                else:
+                    by_basepoint[cid] = point
+            except TypeError:
+                unhashable.append(("basepoint component", cid))
+                continue
             if cid not in by_component:
                 found.append((UNKNOWN_COMPONENT, f"basepoint names unknown component {cid!r}"))
             elif (cid, point) in points:
                 found.append((BASEPOINT_NOT_SMOOTH,
                               f"basepoint ({cid}, {point}) is a branch point of a singularity"))
-            parts.append(f"B:{cid}@{point}")
         ids = [("curve name", self.name)] + [("component", c.id) for c in components]
-        for what, name in ids + [("singularity", s.id) for s in singularities]:
+        ids += [("singularity", s.id) for s in singularities] + unhashable
+        for what, name in ids:
             if not (isinstance(name, str) and ID_PATTERN.fullmatch(name)):
                 message = f"{what} {name!r} is not of the form {ID_PATTERN.pattern}"
                 found.append((INVALID_ID, message))

@@ -126,6 +126,21 @@ def test_divisor_coefficients_must_be_integers():
     assert all(type(k) is int for _, _, k in exact.entries)
 
 
+def test_divisor_built_directly_takes_plain_numbers():
+    # a plain number is the finite point, so a branch point given as one is not smooth
+    config = nodal_cubic()
+    presentation = jacobian_structure(config)
+    with pytest.raises(PointNotSmooth):
+        divisor_class(config, presentation, SmoothDivisor((("L", 0, 1), ("L", 5, -1))))
+    direct = SmoothDivisor((("L", 2, 1), ("L", Fraction(5), -1)))
+    assert direct == SmoothDivisor.of([("L", 2, 1), ("L", 5, -1)])
+    assert direct.entries == (("L", _pt(2), 1), ("L", _pt(5), -1))
+    two, five = (aj_eval(config, presentation, "L", t) for t in (2, 5))
+    assert jac_eq(divisor_class(config, presentation, direct), jac_add(two, jac_neg(five)))
+    with pytest.raises(TypeError, match="a point must be a number"):
+        SmoothDivisor((("L", "3", 1), ("L", 5, -1)))
+
+
 def test_divisor_errors():
     config = nodal_cubic()
     presentation = jacobian_structure(config)

@@ -215,6 +215,19 @@ def test_p1_points():
     assert str(P1Point.finite(Fraction(-3, 2))) == "-3/2"
 
 
+def test_p1_point_holds_an_exact_rational():
+    # the value is a Fraction or None, whatever number it was given as
+    for bad in ("3", [3]):
+        with pytest.raises(TypeError, match="a point must be a number"):
+            P1Point(bad)
+    for value in (3, 3.0, Fraction(3)):
+        point = P1Point(value)
+        assert type(point.value) is Fraction and point == P1Point.finite(3)
+        assert hash(point) == hash(P1Point.finite(3))
+    assert P1Point(2.5).value == Fraction(5, 2) and type(P1Point(2.5).value) is Fraction
+    assert P1Point().is_infinity and P1Point(None) == INFINITY
+
+
 # --------------------------------------------------------------------------
 # Jets
 # --------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def test_subscheme_multiplicities_must_be_integers():
     assert all(type(m) is int for _, m in z.points)
 
 
+def test_subscheme_built_directly_takes_plain_numbers():
+    # a plain number is the finite point, as in finite_subscheme
+    direct = FiniteSubscheme(((0, 2), (Fraction(1, 2), 1)))
+    assert direct == finite_subscheme([(0, 2), (Fraction(1, 2), 1)])
+    assert direct.points == ((P1Point.finite(0), 2), (P1Point.finite(Fraction(1, 2)), 1))
+    assert vanishing_ideal_generator(FiniteSubscheme(((0, 2),))) == Poly((0, 0, 1))
+    with pytest.raises(ValueError, match="repeated point"):
+        FiniteSubscheme(((0, 1), (P1Point.finite(0), 2)))
+    with pytest.raises(TypeError, match="a point must be a number"):
+        FiniteSubscheme((("3", 1),))
+
+
 def test_vanishing_ideal_generator():
     assert vanishing_ideal_generator(finite_subscheme([(0, 1), (1, 1)])) == Poly((0, -1, 1))
     assert vanishing_ideal_generator(finite_subscheme([(0, 2)])) == Poly((0, 0, 1))
@@ -140,6 +152,30 @@ def test_membership_examples():
     cert = subalgebra_membership(Poly.constant(7), Poly((0, 0, 0, 1)))
     assert isinstance(cert, MembershipCertificate)
     assert cert.constant == 7 and cert.terms == ()
+
+
+def test_expand_builds_each_generator_power_once(monkeypatch):
+    t2, t3 = Poly((0, 0, 1)), Poly((0, 0, 0, 1))
+    cert = MembershipCertificate(
+        Fraction(5),
+        tuple((Fraction(k), exponents) for k, exponents in
+              ((1, (2, 0)), (2, (2, 0)), (3, (2, 1)), (1, (0, 3)))),
+        (t2, t3),
+    )
+    products = []
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    expanded = cert.expand()
+    monkeypatch.undo()
+    # (t^2)^2 by one squaring, (t^3)^3 by a squaring and a product, then the one
+    # two-factor term and one scaling per term; rebuilding each power per term takes 14
+    assert len(products) == 1 + 2 + 1 + 4
+    assert expanded == Poly.constant(5) + 3 * t2 ** 2 + 3 * t2 ** 2 * t3 + t3 ** 3
 
 
 def test_membership_of_generator_products():

@@ -331,6 +331,24 @@ def test_mixed_type_basepoint_ids_are_reported_not_raised():
     assert config.basepoint(5) == _pt(0) and config.basepoint("L") == _pt(1)
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda: CurveConfig("c", (Component(["L"]),)), "component ['L']"),
+    (lambda: CurveConfig("c", (Component("L"),), (Singularity(["s"], (Branch("L", 0, 2),)),)),
+     "singularity ['s']"),
+    (lambda: CurveConfig("c", (Component("L"),),
+                         (Singularity("s", (Branch("L", 0), Branch(["L"], 1))),)),
+     "branch component ['L']"),
+    (lambda: CurveConfig("c", (Component("L"),), (), ((["L"], 0),)), "basepoint component ['L']"),
+], ids=["component", "singularity", "branch component", "basepoint component"])
+def test_unhashable_ids_are_reported_not_raised(build, what):
+    config = build()  # no lookup can hold a list, and hashing one must not escape as a TypeError
+    assert [(v.kind, v.message) for v in validate(config)] == [
+        (INVALID_ID, f"{what} is not of the form [A-Za-z_][A-Za-z0-9_]*")
+    ]
+    with pytest.raises(InvalidConfig):
+        jacobian_structure(config)
+
+
 # --------------------------------------------------------------------------
 # Stored facts against linear scans
 # --------------------------------------------------------------------------
