@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for a mathematical negative (no witness, not a
 site, a point off the smooth locus, a failed verify run), 2 for usage or
-parse errors.
+parse errors, among them a singularity or branch that the curve file lacks.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ def _load_config(path: str) -> CurveConfig:
     doc = parse_curve_dsl(text)
     require_valid(doc.config)
     return doc.config
+
+
+def _load_config_at_branch(args) -> CurveConfig:
+    """The curve file, once --sing and --branch name a branch that it has."""
+    config = _load_config(args.file)
+    if not 0 <= args.branch < len(config.singularity(args.sing).branches):
+        raise _CliUsage(f"singularity {args.sing!r} has no branch {args.branch}")
+    return config
 
 
 def _parse_point_arg(text: str) -> P1Point:
@@ -171,7 +179,7 @@ def _cmd_modifiable(args) -> int:
 def _cmd_modify(args) -> int:
     from .modification import ModificationSite, modify
 
-    config = _load_config(args.file)
+    config = _load_config_at_branch(args)
     site = ModificationSite(args.sing, args.branch)
     modified = modify(config, site)
     text = print_curve_dsl(modified)
@@ -206,7 +214,7 @@ def _cmd_contract(args) -> int:
 def _cmd_witness(args) -> int:
     from .obstruction import NotFound, obstruction_witness
 
-    config = _load_config(args.file)
+    config = _load_config_at_branch(args)
     outcome = obstruction_witness(config, args.sing, args.branch)
     if isinstance(outcome, NotFound):
         _emit(

@@ -162,18 +162,18 @@ class CurveConfig:
                 except TypeError:
                     unhashable.append(("branch component", b.component))
                     continue
-                key = (b.component, b.point)
+                size = len(points)
+                points.add((b.component, b.point))  # a set that does not grow held it already
                 if component is None:  # its key never meets a key on a known component
                     found.append((UNKNOWN_COMPONENT, f"singularity {s.id!r} references "
                                                      f"unknown component {b.component!r}"))
-                elif key in points:
+                elif len(points) == size:
                     found.append((DUPLICATE_BRANCH_POINT, f"branch point ({b.component}, "
                                                           f"{b.point}) appears more than once"))
                 if component is not None and component.genus > 0 and b.multiplicity > 1:
                     found.append((POSITIVE_GENUS_THICK_BRANCH,
                                   f"component {b.component!r} has positive genus and cannot "
                                   f"carry a branch of multiplicity {b.multiplicity}"))
-                points.add(key)
             parts.append(f"S:{s.id}:[{','.join(labels)}]")
         for cid, point in basepoints:
             parts.append(f"B:{cid}@{point}")

@@ -12,13 +12,14 @@ Grammar ('#' starts a comment, blank lines are ignored):
 where <point> is a rational literal a, a/b, or inf. ``node`` abbreviates two
 reduced branches and ``cusp`` one branch of multiplicity 2.
 
-Structural errors are reported with line and column. The first one on a line
-ends that line: each ``expect_*`` step returns a value or records a
-diagnostic and raises ``_LineError``, which ``parse_curve_dsl`` catches once
-per line. Trailing tokens after a complete ``curve``, ``component`` or
-``base`` line are reported without ending it. Every line is read, so one
-parse reports each bad line. Semantic checks (duplicate points, basepoints
-on branches, and so on) are left to curve_model.validate.
+One cursor reads each line and keeps its tokens, comment stripped, as
+(text, column) pairs. The first error on a line ends that line: each
+``expect_*`` step returns a value or records a diagnostic with line and column
+and raises ``_LineError``, which ``parse_curve_dsl`` catches once per line.
+Trailing tokens after a complete ``curve``, ``component`` or ``base`` line are
+reported without ending it. Every line is read, so one parse reports each bad
+line, a repeated ``base`` line included; the other semantic checks (duplicate
+points, basepoints on branches) are left to curve_model.validate.
 """
 
 from __future__ import annotations
@@ -77,86 +78,68 @@ def parse_point(text: str) -> P1Point | None:
     return P1Point.finite(int(text))
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    column: int
-
-
 class _LineError(Exception):
     """Ends the current line; its diagnostic is already recorded."""
 
 
 class _LineParser:
-    """Cursor over the tokens of one line; each expect_* returns a value or fails."""
+    """Cursor over one line's (text, column) tokens; each expect_* returns a value or fails."""
 
-    def __init__(self, tokens: list[_Token], line: int, diagnostics: list[Diagnostic]):
-        self.tokens = tokens
+    def __init__(self, raw: str, line: int, diagnostics: list[Diagnostic]):
+        code = raw.partition("#")[0]
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
+        self.end = ("", len(code.rstrip()) + 1)  # just past the last token
         self.line = line
         self.pos = 0
         self.diagnostics = diagnostics
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def peek(self) -> tuple[str, int] | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def peek(self) -> _Token | None:
-        return None if self.exhausted else self.tokens[self.pos]
-
-    def take(self) -> _Token | None:
+    def take(self) -> tuple[str, int] | None:
         token = self.peek()
         if token is not None:
             self.pos += 1
         return token
 
-    def note(self, message: str, token: _Token | None = None) -> None:
+    def note(self, message: str, token: tuple[str, int] | None = None) -> None:
         """Record a diagnostic at the token, or just past the end of the line."""
-        token = token or self.peek()
-        if token is None:
-            last = self.tokens[-1]
-            token = _Token("", last.column + len(last.text))
-        self.diagnostics.append(Diagnostic(self.line, token.column, token.text, message))
+        text, column = token or self.peek() or self.end
+        self.diagnostics.append(Diagnostic(self.line, column, text, message))
 
-    def fail(self, message: str, token: _Token | None = None) -> NoReturn:
+    def fail(self, message: str, token: tuple[str, int] | None = None) -> NoReturn:
         """Record a diagnostic and end the line."""
         self.note(message, token)
         raise _LineError
 
     def expect_name(self, what: str) -> str:
         token = self.take()
-        if token is None or not ID_PATTERN.fullmatch(token.text):
+        if token is None or not ID_PATTERN.fullmatch(token[0]):
             self.fail(f"expected {what}", token)
-        return token.text
+        return token[0]
 
     def expect_keyword(self, keyword: str) -> str:
         token = self.take()
-        if token is None or token.text != keyword:
+        if token is None or token[0] != keyword:
             self.fail(f"expected {keyword!r}", token)
         return keyword
 
     def expect_point(self) -> P1Point:
         token = self.take()
-        point = parse_point(token.text) if token is not None else None
+        point = parse_point(token[0]) if token is not None else None
         if point is None:
             self.fail("expected a point (rational literal or inf)", token)
         return point
 
     def expect_int(self, what: str, minimum: int) -> int:
         token = self.take()
-        if token is None or not token.text.isdecimal() or int(token.text) < minimum:
+        if token is None or not token[0].isdecimal() or int(token[0]) < minimum:
             self.fail(f"expected {what}", token)
-        return int(token.text)
+        return int(token[0])
 
     def expect_end(self) -> None:
-        if not self.exhausted:
+        if self.peek() is not None:
             self.note("unexpected trailing tokens")
-
-
-def _tokenize(line_text: str) -> list[_Token]:
-    comment = line_text.find("#")
-    if comment >= 0:
-        line_text = line_text[:comment]
-    return [_Token(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line_text)]
 
 
 def _parse_branch_group(parser: _LineParser, kind: str) -> Branch:
@@ -167,7 +150,7 @@ def _parse_branch_group(parser: _LineParser, kind: str) -> Branch:
     point = parser.expect_point()
     multiplicity = 2 if kind == "cusp" else 1
     token = parser.peek()
-    if token is not None and token.text == "mult":
+    if token is not None and token[0] == "mult":
         if kind != "pinch":
             parser.fail("mult is not allowed in this form")
         parser.take()
@@ -186,44 +169,43 @@ def parse_curve_dsl(text: str) -> CurveDoc:
     seen_base: set[str] = set()
 
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
-            continue
-        parser = _LineParser(tokens, line_number, diagnostics)
+        parser = _LineParser(raw, line_number, diagnostics)
         head = parser.take()
+        if head is None:
+            continue
         with suppress(_LineError):
-            if head.text == "curve":
+            if head[0] == "curve":
                 if name is not None:
                     parser.fail("a curve was already named", head)
                 name = parser.expect_name("a curve name")
                 parser.expect_end()
 
-            elif head.text == "component":
+            elif head[0] == "component":
                 component_id = parser.expect_name("a component id")
                 genus = 0
-                if not parser.exhausted:
+                if parser.peek() is not None:
                     parser.expect_keyword("genus")
                     genus = parser.expect_int("a nonnegative genus", 0)
                 parser.expect_end()
                 components.append(Component(component_id, genus))
 
-            elif head.text == "sing":
+            elif head[0] == "sing":
                 sing_id = parser.expect_name("a singularity id")
                 kind = parser.take()
-                if kind is None or kind.text not in ("pinch", "node", "cusp"):
+                if kind is None or kind[0] not in ("pinch", "node", "cusp"):
                     parser.fail("expected one of pinch, node, cusp", kind)
                 branches = []
-                while not parser.exhausted:
-                    branches.append(_parse_branch_group(parser, kind.text))
-                if kind.text == "node" and len(branches) != 2:
+                while parser.peek() is not None:
+                    branches.append(_parse_branch_group(parser, kind[0]))
+                if kind[0] == "node" and len(branches) != 2:
                     parser.fail("node requires exactly two branches", kind)
-                if kind.text == "cusp" and len(branches) != 1:
+                if kind[0] == "cusp" and len(branches) != 1:
                     parser.fail("cusp requires exactly one branch", kind)
-                if kind.text == "pinch" and not branches:
+                if kind[0] == "pinch" and not branches:
                     parser.fail("pinch requires at least one branch", kind)
                 singularities.append(Singularity(sing_id, tuple(branches)))
 
-            elif head.text == "base":
+            elif head[0] == "base":
                 component_id = parser.expect_name("a component id")
                 parser.expect_keyword("at")
                 point = parser.expect_point()

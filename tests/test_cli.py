@@ -151,6 +151,26 @@ def test_modify_non_site_is_negative(capsys, curves, tmp_path):
     assert "NotASite" in err
 
 
+@pytest.mark.parametrize("command", ["modify", "witness"])
+@pytest.mark.parametrize(
+    "sing, branch, message",
+    [
+        ("zz", "0", "no singularity named 'zz'"),
+        ("n1", "99", "singularity 'n1' has no branch 99"),
+        ("n1", "-1", "singularity 'n1' has no branch -1"),
+    ],
+    ids=["unknown-singularity", "branch-past-the-end", "negative-branch"],
+)
+def test_site_the_file_lacks_is_a_usage_error(capsys, curves, tmp_path, command, sing, branch,
+                                              message):
+    output = tmp_path / "x.curve"
+    argv = [command, curves["lut"], "--sing", sing, "--branch", branch]
+    argv += ["-o", str(output)] if command == "modify" else []
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", message + "\n")
+    assert not output.exists()
+
+
 def test_contract_command(capsys):
     code, out, _ = _run(capsys, ["contract", "--points", "0:2"])
     assert code == 0

@@ -535,3 +535,23 @@ def test_violations_and_fingerprint_are_computed_once_per_config(monkeypatch):
     assert len(built) == 1
     other = CurveConfig("other", (Component("L"),))
     assert len(built) == 2 and built[1] is other
+
+
+def test_building_a_config_hashes_each_branch_point_once(monkeypatch):
+    components = (Component("L1"), Component("L2"))
+    singularities = tuple(
+        Singularity(f"n{i}", (Branch("L1", i), Branch("L2", i))) for i in range(5)
+    )
+    hashed = []
+    p1_hash = P1Point.__hash__
+
+    def counted(point):
+        hashed.append(point)
+        return p1_hash(point)
+
+    monkeypatch.setattr(P1Point, "__hash__", counted)
+    config = CurveConfig("c", components, singularities, (("L1", INFINITY), ("L2", 7)))
+    # one per branch point, then one per basepoint checked against them
+    assert hashed == [_pt(i) for i in range(5) for _ in "12"] + [INFINITY, _pt(7)]
+    monkeypatch.undo()
+    assert validate(config) == []
