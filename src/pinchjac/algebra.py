@@ -358,15 +358,16 @@ def unit_log(u: Jet) -> Jet:
 
     Exact in characteristic zero: unit_log(a * b) == unit_log(a) + unit_log(b)
     at the common truncation order.
+
+    With a = u / u(0), l = log a satisfies l' a = a', so k*l_k = k*a_k - sum of
+    (j*l_j) * a_{k-j} over 0 < j < k: about m²/2 `Fraction` products at order m
+    (Brent & Kung, "Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978).
     """
     if not u.is_unit:
         raise NonUnit("unit_log requires a unit jet")
-    w = (u * (1 / u.constant_term)) - Jet.constant(1, u.order)
-    result = Jet.constant(0, u.order)
-    power = Jet.constant(1, u.order)
-    sign = 1
+    c = u.constant_term
+    a = [x / c for x in u.coeffs]
+    scaled = [Fraction(0)] * u.order  # k * l_k
     for k in range(1, u.order):
-        power = power * w
-        result = result + power * Fraction(sign, k)
-        sign = -sign
-    return result
+        scaled[k] = k * a[k] - sum(scaled[j] * a[k - j] for j in range(1, k))
+    return Jet(u.order, tuple(x / k if k else x for k, x in enumerate(scaled)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve_model import CurveConfig, Singularity, bridges, require_valid
-from .errors import NotASite
+from .errors import InvalidProblem, NotASite
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,9 @@ def indeterminate_sites(config: CurveConfig) -> tuple[ModificationSite, ...]:
 
 def modify(config: CurveConfig, site: ModificationSite) -> CurveConfig:
     """Detach the site's branch; drop the singularity if one branch remains."""
+    require_valid(config)
+    if not 0 <= site.branch < len(config.singularity(site.singularity).branches):
+        raise InvalidProblem(f"singularity {site.singularity!r} has no branch {site.branch}")
     if site not in modifiable_sites(config):
         raise NotASite(
             f"({site.singularity}, {site.branch}) is not a modification site"

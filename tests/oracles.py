@@ -5,7 +5,9 @@ nothing in `pinchjac` inverts a jet or takes an exponential. These functions
 give the series the closed form must agree with, computed the long way: the
 jet of a rational function by series division (after a Taylor shift), the
 jet inverse by the triangular recurrence, and the truncated exponential by
-its power sum. `fraction_product` multiplies two series with one `Fraction`
+its power sum. `unit_log_by_powers` takes the logarithm by the power sum of
+log(1 + w), with m - 1 jet products, where the library's `unit_log` runs the
+log recurrence. `fraction_product` multiplies two series with one `Fraction`
 multiply and add per term, where the library sums integer numerators over a
 common denominator. Two graph oracles walk the dual graph themselves:
 `forest_normalized_torus` solves one scalar per vertex where the library
@@ -80,6 +82,22 @@ def unit_exp(v: Jet) -> Jet:
         power = power * v
         factorial *= k
         result = result + power * Fraction(1, factorial)
+    return result
+
+
+def unit_log_by_powers(u: Jet) -> Jet:
+    """Truncated logarithm of u / u(0) by the power sum of log(1 + w):
+    m - 1 jet products at order m."""
+    if not u.is_unit:
+        raise NonUnit("unit_log requires a unit jet")
+    w = (u * (1 / u.constant_term)) - Jet.constant(1, u.order)
+    result = Jet.constant(0, u.order)
+    power = Jet.constant(1, u.order)
+    sign = 1
+    for k in range(1, u.order):
+        power = power * w
+        result = result + power * Fraction(sign, k)
+        sign = -sign
     return result
 
 

@@ -16,7 +16,9 @@ from oracles import (
     jet_of_rational_function,
     poly_shifted,
     unit_exp,
+    unit_log_by_powers,
 )
+from pinchjac import algebra
 from pinchjac.abel_jacobi import cuspidal_param, nodal_param, param_inverse
 from pinchjac.algebra import INFINITY, Jet, P1Point, Poly, rational_str, unit_log
 from pinchjac.errors import NonUnit, OrderMismatch, OrderNonpositive
@@ -310,6 +312,62 @@ def test_exp_log_roundtrip():
             coeffs[0] = Fraction(3)
         u = Jet(order, tuple(coeffs))
         assert unit_exp(unit_log(u)) * u.constant_term == u
+
+
+# zeros, negatives and fractions; the constant term is never zero and rarely 1
+_LOG_COEFFICIENT = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unit_log_matches_the_power_sum_oracle(data):
+    order = data.draw(st.integers(1, 30))
+    constant = data.draw(_LOG_COEFFICIENT.filter(bool))
+    rest = data.draw(st.lists(_LOG_COEFFICIENT, max_size=order - 1))
+    u = Jet.make(order, [constant, *rest])
+    assert unit_log(u) == unit_log_by_powers(u)
+
+
+def test_unit_log_matches_sympy_rs_log():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_log
+    from sympy.polys.rings import ring
+
+    ring_, x = ring("s", sympy.QQ)
+    rng = random.Random(29)
+    for _ in range(30):
+        order = rng.randint(1, 30)
+        coeffs = [_random_fraction(rng) for _ in range(order)]
+        if coeffs[0] == 0:
+            coeffs[0] = Fraction(-5, 3)
+        c = sympy.QQ(coeffs[0].numerator, coeffs[0].denominator)
+        a = sum((sympy.QQ(f.numerator, f.denominator) / c * x**k
+                 for k, f in enumerate(coeffs)), ring_.zero)
+        series = rs_log(a, x, order)
+        expected = [series.coeff(x**k) for k in range(order)]
+        got = unit_log(Jet(order, tuple(coeffs))).coeffs
+        assert [sympy.QQ(f.numerator, f.denominator) for f in got] == expected
+
+
+def test_unit_log_takes_no_series_product(monkeypatch):
+    calls = []
+    convolve = algebra._convolve
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    # `Jet * Jet` reads `_convolve` from the module globals at each call
+    monkeypatch.setattr(algebra, "_convolve", counted)
+    u = Jet.make(12, [Fraction(3), *(Fraction(k, k + 1) for k in range(1, 12))])
+    log = unit_log(u)
+    monkeypatch.undo()
+    # the power sum of log(1 + w) takes one series product per power: 11 here
+    assert len(calls) == 0
+    assert log == unit_log_by_powers(u)
 
 
 # --------------------------------------------------------------------------

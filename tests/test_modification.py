@@ -22,9 +22,10 @@ from pinchjac.curve_model import (
     dual_graph,
     validate,
 )
-from pinchjac.errors import NotASite
+from pinchjac.errors import InvalidProblem, NotASite, UnknownSingularity
 from pinchjac.jacobian import jacobian_structure
 from pinchjac.modification import ModificationSite, indeterminate_sites, modifiable_sites, modify
+from pinchjac.obstruction import obstruction_witness
 from pinchjac.verify import _oracle_graph_ranks
 
 
@@ -89,6 +90,20 @@ def test_modify_rejects_non_sites():
         modify(two_nodes_pair(), ModificationSite("n1", 0))
     with pytest.raises(NotASite):
         modify(nodal_cubic(), ModificationSite("n", 0))
+
+
+@pytest.mark.parametrize(
+    "sing, branch, error",
+    [("zz", 0, UnknownSingularity), ("n1", 99, InvalidProblem), ("n1", -1, InvalidProblem)],
+    ids=["unknown-singularity", "branch-past-the-end", "negative-branch"],
+)
+def test_a_branch_the_curve_lacks_is_the_same_error_as_in_the_witness(sing, branch, error):
+    config = two_nodes_pair()
+    with pytest.raises(error) as witnessed:
+        obstruction_witness(config, sing, branch)
+    with pytest.raises(error) as modified:
+        modify(config, ModificationSite(sing, branch))
+    assert str(modified.value) == str(witnessed.value)
 
 
 def test_indeterminate_sites():
